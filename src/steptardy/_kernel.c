@@ -1,0 +1,255 @@
+/* First-improvement descent for steptardy.neighborhoods, in int64.
+
+   A line-for-line port of the Python reference in neighborhoods.py:
+   _prefix_state, _tail_eval, the five _scan_* functions and descend's
+   fixpoint loop.  Moves are scanned in the same canonical order with the
+   same bail-outs, so every descent accepts the same first improving move
+   and returns the same sequence as the Python scanners.
+
+   Jobs are rows (a, a + b, d, h) indexed by job id; row 0 is unused.  The
+   caller guarantees that seq is a permutation of 1..n and that no
+   completion time or tardiness sum can overflow int64.
+
+   Built and loaded with ctypes by neighborhoods.py on first import.  */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef int64_t i64;
+typedef struct { i64 a, ab, d, h; } job_t;
+
+static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS)
+{
+    i64 c = 0, t = 0;
+    C[0] = TS[0] = 0;
+    for (i64 k = 0; k < n; k++) {
+        const job_t *x = &J[seq[k]];
+        c += c <= x->h ? x->a : x->ab;
+        if (c > x->d)
+            t += c - x->d;
+        C[k + 1] = c;
+        TS[k + 1] = t;
+    }
+}
+
+/* Append job x at (*c, *t).  Nonzero when its tardiness brings *t to
+   total: the candidate cannot improve and is dropped.  */
+static inline int step(const job_t *J, i64 x, i64 *c, i64 *t, i64 total)
+{
+    const job_t *j = &J[x];
+    *c += *c <= j->h ? j->a : j->ab;
+    if (*c > j->d) {
+        *t += *c - j->d;
+        return *t >= total;
+    }
+    return 0;
+}
+
+/* Open a window with job x after a prefix ending at (c0, t0).  Nonzero when
+   the candidate is already no better than total.  */
+static inline int start(const job_t *J, i64 x, i64 c0, i64 t0, i64 *c, i64 *t, i64 total)
+{
+    const job_t *j = &J[x];
+    *c = c0 + (c0 <= j->h ? j->a : j->ab);
+    *t = t0 + (*c > j->d ? *c - j->d : 0);
+    return *t >= total;
+}
+
+/* Finish a candidate over the unchanged positions k..n-1: its total when
+   it strictly beats total, else -1.  See _tail_eval.  */
+static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS,
+                     i64 k, i64 c, i64 t, i64 total, i64 n)
+{
+    if (c >= C[k]) {
+        if (c == C[k]) {
+            t += TS[n] - TS[k];
+            return t < total ? t : -1;
+        }
+        if (t + TS[n] - TS[k] >= total)
+            return -1;
+    }
+    while (k < n) {
+        if (step(J, seq[k], &c, &t, total))
+            return -1;
+        k++;
+        if (c == C[k]) {
+            t += TS[n] - TS[k];
+            break;
+        }
+    }
+    return t < total ? t : -1;
+}
+
+/* Each scan applies the first improving move to seq in place and returns
+   1, or returns 0 when seq is a local optimum.  */
+
+static int scan_swap(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+{
+    for (i64 i = 0; i < n - 1; i++) {
+        i64 xi = seq[i];
+        for (i64 j = i + 1; j < n; j++) {
+            i64 xj = seq[j], c, t, k;
+            if (start(J, xj, C[i], TS[i], &c, &t, total))
+                continue;
+            for (k = i + 1; k < j; k++)
+                if (step(J, seq[k], &c, &t, total))
+                    break;
+            if (k < j || step(J, xi, &c, &t, total))
+                continue;
+            if (tail_eval(seq, J, C, TS, j + 1, c, t, total, n) >= 0) {
+                seq[i] = xj;
+                seq[j] = xi;
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+static int scan_insertion(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+{
+    for (i64 i = 0; i < n; i++) {
+        i64 xi = seq[i];
+        for (i64 j = 0; j < i; j++) {
+            i64 c = C[j], t = TS[j], k;
+            if (step(J, xi, &c, &t, total))
+                continue;
+            for (k = j; k < i; k++)
+                if (step(J, seq[k], &c, &t, total))
+                    break;
+            if (k < i)
+                continue;
+            if (tail_eval(seq, J, C, TS, i + 1, c, t, total, n) >= 0) {
+                memmove(seq + j + 1, seq + j, (size_t)(i - j) * sizeof *seq);
+                seq[j] = xi;
+                return 1;
+            }
+        }
+        /* targets after i share the window prefix seq[i+1..j] */
+        i64 c_run = C[i], t_run = TS[i];
+        for (i64 j = i + 1; j < n; j++) {
+            i64 c, t;
+            if (step(J, seq[j], &c_run, &t_run, total))
+                break;
+            if (start(J, xi, c_run, t_run, &c, &t, total))
+                continue;
+            if (tail_eval(seq, J, C, TS, j + 1, c, t, total, n) >= 0) {
+                memmove(seq + i, seq + i + 1, (size_t)(j - i) * sizeof *seq);
+                seq[j] = xi;
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+static int scan_pair_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+{
+    for (i64 i = 0; i < n - 3; i++) {
+        i64 xi = seq[i], xi1 = seq[i + 1];
+        for (i64 j = i + 2; j < n - 1; j++) {
+            i64 xj = seq[j], xj1 = seq[j + 1], c, t, k;
+            if (start(J, xj, C[i], TS[i], &c, &t, total) || step(J, xj1, &c, &t, total))
+                continue;
+            for (k = i + 2; k < j; k++)
+                if (step(J, seq[k], &c, &t, total))
+                    break;
+            if (k < j || step(J, xi, &c, &t, total) || step(J, xi1, &c, &t, total))
+                continue;
+            if (tail_eval(seq, J, C, TS, j + 2, c, t, total, n) >= 0) {
+                seq[i] = xj;
+                seq[i + 1] = xj1;
+                seq[j] = xi;
+                seq[j + 1] = xi1;
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+static int scan_couple_insertion(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+{
+    for (i64 i = 0; i < n - 1; i++) {
+        i64 xi = seq[i], xi1 = seq[i + 1];
+        for (i64 j = 0; j < i; j++) {
+            i64 c = C[j], t = TS[j], k;
+            if (step(J, xi, &c, &t, total) || step(J, xi1, &c, &t, total))
+                continue;
+            for (k = j; k < i; k++)
+                if (step(J, seq[k], &c, &t, total))
+                    break;
+            if (k < i)
+                continue;
+            if (tail_eval(seq, J, C, TS, i + 2, c, t, total, n) >= 0) {
+                memmove(seq + j + 2, seq + j, (size_t)(i - j) * sizeof *seq);
+                seq[j] = xi;
+                seq[j + 1] = xi1;
+                return 1;
+            }
+        }
+        /* targets after i share the window prefix seq[i+2..j+1] */
+        i64 c_run = C[i], t_run = TS[i];
+        for (i64 j = i + 1; j < n - 1; j++) {
+            i64 c, t;
+            if (step(J, seq[j + 1], &c_run, &t_run, total))
+                break;
+            if (start(J, xi, c_run, t_run, &c, &t, total) || step(J, xi1, &c, &t, total))
+                continue;
+            if (tail_eval(seq, J, C, TS, j + 2, c, t, total, n) >= 0) {
+                memmove(seq + i, seq + i + 2, (size_t)(j - i) * sizeof *seq);
+                seq[j] = xi;
+                seq[j + 1] = xi1;
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+{
+    for (i64 i = 0; i < n - 3; i++) {
+        for (i64 j = i + 3; j < n; j++) {
+            i64 c = C[i + 1], t = TS[i + 1], k;
+            for (k = j; k > i; k--)
+                if (step(J, seq[k], &c, &t, total))
+                    break;
+            if (k > i)
+                continue;
+            if (tail_eval(seq, J, C, TS, j + 1, c, t, total, n) >= 0) {
+                for (i64 lo = i + 1, hi = j; lo < hi; lo++, hi--) {
+                    i64 x = seq[lo];
+                    seq[lo] = seq[hi];
+                    seq[hi] = x;
+                }
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+typedef int (*scan_fn)(i64 *, const job_t *, const i64 *, const i64 *, i64, i64);
+
+static const scan_fn SCANS[] = {
+    NULL, scan_swap, scan_insertion, scan_pair_exchange, scan_couple_insertion, scan_two_opt,
+};
+
+/* Descend seq in place to a local optimum of neighbourhood k (1..5).
+   Returns 0, -1 when out of memory, -2 for an unknown k.  */
+int steptardy_descend(const job_t *J, i64 n, i64 *seq, int k)
+{
+    if (k < 1 || k > 5)
+        return -2;
+    i64 *C = malloc((size_t)(n + 1) * 2 * sizeof *C);
+    if (C == NULL)
+        return -1;
+    i64 *TS = C + n + 1;
+    do
+        prefix_state(seq, J, n, C, TS);
+    while (SCANS[k](seq, J, C, TS, TS[n], n));
+    free(C);
+    return 0;
+}

@@ -14,8 +14,9 @@ All times are exact integers.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 
@@ -47,6 +48,52 @@ class Instance:
             if j.id == job_id:
                 return j
         raise KeyError(job_id)
+
+    # Derived columns are computed once per instance and kept in its
+    # __dict__; equality, hashing, repr and JSON see only the fields.
+
+    @cached_property
+    def _columns(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Per-field lists indexed by job id (index 0 unused) for fast evaluation.
+
+        Returns (a, ab, d, h) with ab[j] = a[j] + b[j].  Requires ids 1..n.
+        """
+        n = self.n
+        a = [0] * (n + 1)
+        ab = [0] * (n + 1)
+        d = [0] * (n + 1)
+        h = [0] * (n + 1)
+        filled = [False] * (n + 1)
+        for job in self.jobs:
+            if not 1 <= job.id <= n or filled[job.id]:
+                raise ValueError(f"instance job ids must be exactly 1..{n}")
+            filled[job.id] = True
+            a[job.id] = job.a
+            ab[job.id] = job.a + job.b
+            d[job.id] = job.d
+            h[job.id] = job.h
+        return a, ab, d, h
+
+    @cached_property
+    def _int64_rows(self) -> bytes | None:
+        """The columns as native int64 rows (a, ab, d, h) by job id, for the C scanners.
+
+        None when a field is not an int, or when a value is so large that a
+        completion time or tardiness sum could overflow int64: the bound is
+        n * (sum |a| + sum |ab| + max |d|) < 2**62, with |h| < 2**62.
+        """
+        a, ab, d, h = self._columns
+        if not all(
+            isinstance(v, int) for job in self.jobs for v in (job.a, job.b, job.d, job.h)
+        ):
+            return None
+        span = sum(map(abs, a)) + sum(map(abs, ab)) + max(map(abs, d))
+        if self.n * span >= 2**62 or max(map(abs, h)) >= 2**62:
+            return None
+        rows = array("q")
+        for x in range(self.n + 1):
+            rows.extend((a[x], ab[x], d[x], h[x]))
+        return rows.tobytes()
 
 
 @dataclass(frozen=True)
@@ -83,29 +130,6 @@ class RunResult:
     trace: tuple[int, ...] | None = None
 
 
-@lru_cache(maxsize=512)
-def _arrays(instance: Instance) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Per-field lists indexed by job id (index 0 unused) for fast evaluation.
-
-    Returns (a, ab, d, h) with ab[j] = a[j] + b[j].  Requires ids 1..n.
-    """
-    n = instance.n
-    a = [0] * (n + 1)
-    ab = [0] * (n + 1)
-    d = [0] * (n + 1)
-    h = [0] * (n + 1)
-    filled = [False] * (n + 1)
-    for job in instance.jobs:
-        if not 1 <= job.id <= n or filled[job.id]:
-            raise ValueError(f"instance job ids must be exactly 1..{n}")
-        filled[job.id] = True
-        a[job.id] = job.a
-        ab[job.id] = job.a + job.b
-        d[job.id] = job.d
-        h[job.id] = job.h
-    return a, ab, d, h
-
-
 def _check_permutation(instance: Instance, sequence: Sequence[int]) -> None:
     n = instance.n
     if len(sequence) != n or set(sequence) != set(range(1, n + 1)):
@@ -132,7 +156,7 @@ def evaluate_schedule(instance: Instance, sequence: Sequence[int]) -> ScheduleRe
     completion.  Rejects sequences that are not permutations of 1..n.
     """
     _check_permutation(instance, sequence)
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     starts = []
     procs = []
     comps = []
@@ -162,7 +186,7 @@ def evaluate_schedule(instance: Instance, sequence: Sequence[int]) -> ScheduleRe
 
 def total_tardiness(instance: Instance, sequence: Sequence[int]) -> int:
     """Total tardiness of the sequence (no-idle semantics), objective only."""
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     c = 0
     total = 0
     for j in sequence:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .core import Instance, _arrays
+from .core import Instance
 
 DEFAULT_BRUTE_FORCE_CAP = 10
 
@@ -45,7 +45,7 @@ def brute_force(instance: Instance, n_cap: int = DEFAULT_BRUTE_FORCE_CAP) -> Opt
         raise ValueError(
             f"brute force refused: n={n} exceeds cap {n_cap} ({n}! sequences)"
         )
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     best = None
     best_seq: tuple[int, ...] = ()
     ties = 0
@@ -76,7 +76,7 @@ def prefix_lower_bound(instance: Instance, partial: Sequence[int]) -> int:
     n = instance.n
     if len(set(partial)) != len(partial) or not all(1 <= j <= n for j in partial):
         raise ValueError(f"partial {list(partial)} is not a duplicate-free prefix of 1..{n}")
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     c = 0
     tot = 0
     for j in partial:
@@ -105,7 +105,7 @@ def branch_and_bound(
     ``proven=False``.
     """
     n = instance.n
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     by_edd = sorted(range(1, n + 1), key=lambda j: (d[j], j))
 
     best_val: int | None = None

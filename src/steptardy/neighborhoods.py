@@ -19,16 +19,29 @@ affected window, bails out as soon as the accumulated tardiness reaches the
 incumbent total, and hands the unchanged tail to ``_tail_eval`` which reads
 the remaining tardiness off the prefix sums once the completion time
 re-synchronizes.
+
+``_kernel.c`` is a line-for-line int64 port of those scanners and of the
+descent loop.  On first import it is compiled with the C compiler Python
+was built with into this package's ``__pycache__``, under a name keyed by
+the hash of its source and compile command, and loaded with ctypes.
+``descend`` runs it whenever it loaded and the instance has integer values
+small enough for int64 (``Instance._int64_rows``); otherwise it runs the
+Python scanners, which stay the reference.  Both return the same sequence.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import sysconfig
 import warnings
 from itertools import permutations
+from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .core import Instance, _arrays, _check_permutation
+from .core import Instance, _check_permutation
 
 SWAP = 1
 INSERTION = 2
@@ -325,6 +338,67 @@ _SCANNERS = {
 }
 
 
+def _load_kernel():
+    """Compile ``_kernel.c`` on a cache miss and load it.
+
+    Returns (descend function, None), or (None, the reason it is missing:
+    the compiler's stderr or the loader's error).
+    """
+    source = Path(__file__).with_name("_kernel.c")
+    command = (sysconfig.get_config_var("CC") or "cc").split() + ["-O2", "-shared", "-fPIC"]
+    try:
+        key = hashlib.sha256(source.read_bytes() + " ".join(command).encode()).hexdigest()
+        library = source.parent / "__pycache__" / f"_kernel-{key[:16]}.so"
+        if not library.exists():
+            import subprocess
+            import tempfile
+
+            library.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=library.parent)
+            os.close(fd)
+            try:
+                build = subprocess.run(
+                    command + ["-o", tmp, str(source)], capture_output=True, text=True
+                )
+                if build.returncode != 0:
+                    return None, f"{' '.join(command)} failed:\n{build.stderr}"
+                # a concurrent import sees either no library or a whole one
+                os.replace(tmp, library)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(library)).steptardy_descend
+    except (OSError, AttributeError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    kernel.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), ctypes.c_int)
+    kernel.restype = ctypes.c_int
+    return kernel, None
+
+
+_kernel, _KERNEL_ERROR = _load_kernel()
+
+
+def _descend_kernel(rows: bytes, sequence: Sequence[int], k: int) -> list[int]:
+    """``descend`` in the C kernel over ``Instance._int64_rows``."""
+    seq = (ctypes.c_int64 * len(sequence))(*sequence)
+    if _kernel(rows, len(seq), seq, k) != 0:
+        raise MemoryError("C kernel could not allocate its prefix arrays")
+    return list(seq)
+
+
+def _descend_python(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
+    """``descend`` in the Python scanners: the reference and the fallback."""
+    a, ab, d, h = instance._columns
+    seq = list(sequence)
+    scan = _SCANNERS[k]
+    while True:
+        C, TS = _prefix_state(seq, a, ab, d, h)
+        improved = scan(seq, a, ab, d, h, C, TS, TS[-1])
+        if improved is None:
+            return seq
+        seq = improved
+
+
 def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
     """First-improvement descent to a local optimum of neighborhood k.
 
@@ -336,15 +410,12 @@ def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
     if k not in NEIGHBORHOOD_IDS:
         raise ValueError(f"unknown neighborhood {k}; expected one of {NEIGHBORHOOD_IDS}")
     _check_permutation(instance, sequence)
-    a, ab, d, h = _arrays(instance)
-    seq = list(sequence)
-    scan = _SCANNERS[k]
-    while True:
-        C, TS = _prefix_state(seq, a, ab, d, h)
-        improved = scan(seq, a, ab, d, h, C, TS, TS[-1])
-        if improved is None:
-            return seq
-        seq = improved
+    # the kernel indexes its rows by job id, so only a checked permutation
+    # may reach it
+    rows = instance._int64_rows if _kernel is not None else None
+    if rows is None:
+        return _descend_python(instance, sequence, k)
+    return _descend_kernel(rows, sequence, k)
 
 
 def two_opt_move(sequence: Sequence[int], i: int, j: int) -> list[int]:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Instance, RunResult, _arrays, _check_permutation, total_tardiness
+from .core import Instance, RunResult, _check_permutation, total_tardiness
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def greedy_construct(instance: Instance, triple: WeightTriple) -> list[int]:
     with p the processing time the job would incur if started at the current
     completion time.  Score ties break on the smaller job id.
     """
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     n = instance.n
     unscheduled = set(range(1, n + 1))
     first = min(unscheduled, key=lambda j: (d[j], j))
@@ -105,7 +105,7 @@ def pairwise_swap_pass(instance: Instance, sequence: Sequence[int]) -> list[int]
     are evaluated against it.
     """
     _check_permutation(instance, sequence)
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     n = instance.n
     seq = list(sequence)
     best = _total(seq, a, ab, d, h)
@@ -130,7 +130,7 @@ def weighted_search(
     Returns (sequence, value, trace) where trace[i] is the best value after
     the i-th triple; the first triple reaching the best value wins ties.
     """
-    a, ab, d, h = _arrays(instance)
+    a, ab, d, h = instance._columns
     best_seq: list[int] | None = None
     best_val: int | None = None
     trace = []

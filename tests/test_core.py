@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import permutations
 
@@ -186,6 +187,29 @@ class TestInstanceJson:
 
     def test_golden_file(self, demo8, demo8_path):
         assert instance_to_json(demo8) == demo8_path.read_text(encoding="utf-8")
+
+
+class TestInstanceColumns:
+    def test_cached_columns_leave_identity_alone(self, demo8):
+        fresh = instance_from_json(instance_to_json(demo8))
+        before = (repr(fresh), hash(fresh), instance_to_json(fresh))
+        assert fresh._columns[0][1] == 49 and fresh._int64_rows is not None
+        assert (repr(fresh), hash(fresh), instance_to_json(fresh)) == before
+        assert fresh == demo8 and hash(fresh) == hash(demo8)
+
+    def test_columns_computed_once(self, demo8):
+        assert demo8._columns is demo8._columns
+        assert demo8._int64_rows is demo8._int64_rows
+
+    def test_pickle_round_trip_with_cached_columns(self, demo8):
+        demo8._int64_rows
+        clone = pickle.loads(pickle.dumps(demo8))
+        assert clone == demo8 and clone._columns == demo8._columns
+
+    def test_bad_ids_rejected(self):
+        instance = Instance(jobs=(Job(id=1, a=1, b=0, d=0, h=0), Job(id=3, a=1, b=0, d=0, h=0)))
+        with pytest.raises(ValueError, match="exactly 1..2"):
+            total_tardiness(instance, [1, 3])
 
 
 @settings(max_examples=30)
