@@ -70,7 +70,7 @@ def main() -> int:
 
     bb = branch_and_bound(inst)
     print(f"{'branch and bound':<28} {bb.best_value:>5}  "
-          f"{list(bb.best_sequence)}  ({bb.nodes_explored} nodes)")
+          f"{list(bb.best_sequence)}  ({bb.nodes_explored} labels)")
 
     for name, solver in (("gvns", gvns), ("vns", vns)):
         result = solver(inst, SearchParams(seed=0))

@@ -15,7 +15,6 @@ invocations with the same flags and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -75,11 +74,11 @@ def _cmd_solve(args) -> int:
             f"optima {res.optimal_set_size}",
         ]
     elif args.method == "bb":
-        res = branch_and_bound(instance, node_limit=args.node_limit)
+        res = branch_and_bound(instance)
         lines = [
             f"value {res.best_value}",
             f"sequence {','.join(map(str, res.best_sequence))}",
-            f"nodes {res.nodes_explored}",
+            f"labels {res.nodes_explored}",
             f"proven {str(res.proven).lower()}",
         ]
     elif args.method == "swsp":
@@ -179,8 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             " (default: iter-nip / 2)")
     solve.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_FORCE_CAP,
                        help="size cap for exact enumeration")
-    solve.add_argument("--node-limit", type=int, default=None,
-                       help="node budget for branch and bound")
     solve.add_argument("--w1-min", type=float, default=0.2, help="swsp weight bound")
     solve.add_argument("--w1-max", type=float, default=0.9, help="swsp weight bound")
     solve.add_argument("--w2-min", type=float, default=0.1, help="swsp weight bound")
@@ -211,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -206,19 +206,23 @@ def validate_instance(instance: Instance) -> list[str]:
     n = instance.n
     if n < 1:
         report.append("instance must contain at least one job")
+    if not isinstance(instance.name, str):
+        report.append(f"name must be a string (got {instance.name!r})")
     seen: set[int] = set()
     for job in instance.jobs:
-        if job.id in seen:
-            report.append(f"job {job.id}: duplicate id")
-        seen.add(job.id)
-        if job.a < 1:
-            report.append(f"job {job.id}: a must be >= 1 (got {job.a})")
-        if job.b < 0:
-            report.append(f"job {job.id}: b must be >= 0 (got {job.b})")
-        if job.d < 0:
-            report.append(f"job {job.id}: d must be >= 0 (got {job.d})")
-        if job.h < 0:
-            report.append(f"job {job.id}: h must be >= 0 (got {job.h})")
+        fields = {"id": job.id, "a": job.a, "b": job.b, "d": job.d, "h": job.h}
+        # bool is an int subclass, but True is no time value
+        ints = {f: v for f, v in fields.items() if isinstance(v, int) and not isinstance(v, bool)}
+        for field, value in fields.items():
+            if field not in ints:
+                report.append(f"job {job.id!r}: {field} must be an integer (got {value!r})")
+        if "id" in ints:
+            if job.id in seen:
+                report.append(f"job {job.id}: duplicate id")
+            seen.add(job.id)
+        for field, least in (("a", 1), ("b", 0), ("d", 0), ("h", 0)):
+            if ints.get(field, least) < least:
+                report.append(f"job {job.id}: {field} must be >= {least} (got {ints[field]})")
     missing = set(range(1, n + 1)) - seen
     extra = seen - set(range(1, n + 1))
     if missing:
@@ -297,5 +301,15 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+    """Read an instance file; bad JSON, a missing key, a wrong type and every
+    ``validate_instance`` violation raise one ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            instance = instance_from_json(fh.read())
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: malformed instance ({what})") from None
+    problems = validate_instance(instance)
+    if problems:
+        raise ValueError(f"{path}: invalid instance: {'; '.join(problems)}")
+    return instance

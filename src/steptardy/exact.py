@@ -1,9 +1,9 @@
 """Exact optima for small instances.
 
 ``brute_force`` enumerates every permutation and is the oracle of record;
-``branch_and_bound`` is a depth-first search over sequence prefixes pruned
-with the prefix tardiness lower bound.  Both are exponential and guarded by
-explicit size limits.
+``branch_and_bound`` is a subset dynamic program over Pareto labels of
+(completion time, tardiness).  Both are exponential and guarded by explicit
+size limits.
 """
 
 from __future__ import annotations
@@ -12,18 +12,19 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .core import Instance
+from .core import Instance, validate_instance
 
 DEFAULT_BRUTE_FORCE_CAP = 10
+BRANCH_AND_BOUND_CAP = 12
 
 
 @dataclass(frozen=True)
 class OptimalResult:
-    """An optimum (or best incumbent when ``proven`` is False).
+    """A proven optimum.
 
     optimal_set_size counts optimal sequences and is reported by brute force
-    only; nodes_explored counts visited prefixes and is reported by branch
-    and bound only.
+    only; nodes_explored counts the Pareto labels kept and is reported by
+    branch and bound only.  Both solvers are exact, so proven is True.
     """
 
     best_value: int
@@ -86,86 +87,66 @@ def prefix_lower_bound(instance: Instance, partial: Sequence[int]) -> int:
     return tot
 
 
-def branch_and_bound(
-    instance: Instance,
-    node_limit: int | None = None,
-    use_dominance: bool = False,
-) -> OptimalResult:
-    """Depth-first search over prefixes with prefix lower-bound pruning.
+def branch_and_bound(instance: Instance) -> OptimalResult:
+    """Exact optimum by a subset DP over Pareto labels (Held & Karp 1962).
 
-    Unscheduled jobs are expanded in earliest-due-date order so good
-    incumbents are found early.  With ``use_dominance`` the search also
-    skips a child when every remaining job is past its deteriorating date
-    and an unscheduled job strictly dominates the child on (a + b, d): in
-    that regime processing times are fixed, so at least one optimal
-    completion survives the pruning (the returned optimum may differ from
-    brute force's tie-break, the value never does).
-
-    If ``node_limit`` is exhausted the best incumbent is returned with
-    ``proven=False``.
+    A label (C, T) is the completion time and total tardiness of an ordering
+    of a job subset.  Each subset, in increasing bitmask order, extends the
+    labels of every ``mask - j`` by job j and keeps those that no other
+    label beats on both C and T, one per equal (C, T).  With every b >= 0 a
+    later start never makes a job shorter or less tardy, so a dominated
+    label never completes to a better schedule.  ``nodes_explored`` counts
+    the labels kept.  Refuses n above ``BRANCH_AND_BOUND_CAP`` and any
+    instance that ``validate_instance`` rejects.
     """
+    problems = validate_instance(instance)
     n = instance.n
+    if n > BRANCH_AND_BOUND_CAP:
+        problems.append(f"n={n} exceeds cap {BRANCH_AND_BOUND_CAP}")
+    if problems:
+        raise ValueError(f"branch and bound refused: {'; '.join(problems)}")
     a, ab, d, h = instance._columns
-    by_edd = sorted(range(1, n + 1), key=lambda j: (d[j], j))
+    jobs = [(1 << (j - 1), j) for j in range(1, n + 1)]
+    full = (1 << n) - 1
+    # a label is one int, C << shift | T, a third of a (C, T) tuple's memory:
+    # every T is at most n * sum(ab) < 2**shift, so the ints sort by C, then T
+    shift = (n * sum(ab)).bit_length()
+    low = (1 << shift) - 1
+    fronts = [[0]]  # fronts[mask]: its labels by ascending C, descending T
+    labels = 0
+    for mask in range(1, full + 1):
+        candidates = []
+        for bit, j in jobs:
+            if mask & bit:
+                aj, abj, dj, hj = a[j], ab[j], d[j], h[j]
+                for label in fronts[mask ^ bit]:
+                    c = label >> shift
+                    c += aj if c <= hj else abj
+                    t = (label & low) + (c - dj if c > dj else 0)
+                    candidates.append(c << shift | t)
+        candidates.sort()
+        front = [candidates[0]]
+        for label in candidates:
+            if (label & low) < (front[-1] & low):
+                front.append(label)
+        fronts.append(front)
+        labels += len(front)
 
-    best_val: int | None = None
-    best_seq: tuple[int, ...] = ()
-    nodes = 0
-    exhausted = False
-    prefix: list[int] = []
-    scheduled = [False] * (n + 1)
-
-    def dfs(c: int, tot: int) -> None:
-        nonlocal best_val, best_seq, nodes, exhausted
-        if exhausted:
-            return
-        if len(prefix) == n:
-            if best_val is None or tot < best_val:
-                best_val = tot
-                best_seq = tuple(prefix)
-            return
-        all_late = use_dominance and all(
-            c > h[j] for j in by_edd if not scheduled[j]
+    # rebuild the sequence backwards from the least tardy label of the full set
+    label = best = fronts[full][-1]
+    sequence = []
+    mask = full
+    while mask:
+        c, t = label >> shift, label & low
+        # the kept label of some mask - j that job j extends to (c, t)
+        label, j = next(
+            (prev, j)
+            for bit, j in jobs
+            if mask & bit
+            for prev in fronts[mask ^ bit]
+            if (prev >> shift) + (a[j] if (prev >> shift) <= h[j] else ab[j]) == c
+            and (prev & low) + max(0, c - d[j]) == t
         )
-        for j in by_edd:
-            if scheduled[j]:
-                continue
-            if all_late and _dominated(j, scheduled, ab, d, n):
-                continue
-            p = a[j] if c <= h[j] else ab[j]
-            c2 = c + p
-            t2 = tot + max(0, c2 - d[j])
-            if best_val is not None and t2 >= best_val:
-                continue
-            if node_limit is not None and nodes >= node_limit:
-                exhausted = True
-                return
-            # a node is explored once the extended prefix is actually visited;
-            # children cut by the bound or dominance are never explored
-            nodes += 1
-            prefix.append(j)
-            scheduled[j] = True
-            dfs(c2, t2)
-            scheduled[j] = False
-            prefix.pop()
-
-    dfs(0, 0)
-    if best_val is None:
-        # every branch was cut by the node limit before reaching a leaf
-        raise ValueError(f"node limit {node_limit} too small to reach any leaf")
-    return OptimalResult(
-        best_value=best_val,
-        best_sequence=best_seq,
-        nodes_explored=nodes,
-        proven=not exhausted,
-    )
-
-
-def _dominated(j: int, scheduled: list[bool], ab: list[int], d: list[int], n: int) -> bool:
-    """True if some unscheduled job strictly dominates j on (a + b, d)."""
-    for w in range(1, n + 1):
-        if scheduled[w] or w == j:
-            continue
-        if ab[w] <= ab[j] and d[w] <= d[j] and (ab[w], d[w]) != (ab[j], d[j]):
-            return True
-    return False
+        sequence.append(j)
+        mask ^= 1 << (j - 1)
+    return OptimalResult(best & low, tuple(reversed(sequence)), nodes_explored=labels)

@@ -31,6 +31,7 @@ Python scanners, which stay the reference.  Both return the same sequence.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -339,7 +340,7 @@ _SCANNERS = {
 
 
 def _load_kernel():
-    """Compile ``_kernel.c`` on a cache miss and load it.
+    """Compile ``_kernel.c`` on a cache miss, delete older builds, and load it.
 
     Returns (descend function, None), or (None, the reason it is missing:
     the compiler's stderr or the loader's error).
@@ -364,6 +365,10 @@ def _load_kernel():
                     return None, f"{' '.join(command)} failed:\n{build.stderr}"
                 # a concurrent import sees either no library or a whole one
                 os.replace(tmp, library)
+                # older builds are never loaded again; one left behind does no harm
+                for stale in set(library.parent.glob("_kernel-*.so")) - {library}:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,25 @@ def instances_with_sequence(draw, min_n=1, max_n=8, **kwargs):
     instance = draw(instances(min_n=min_n, max_n=max_n, **kwargs))
     sequence = draw(st.permutations(list(range(1, instance.n + 1))))
     return instance, list(sequence)
+
+
+@st.composite
+def tied_cases(draw, max_n=9):
+    """Small instances full of ties, with a sequence: jobs that start
+    exactly at their h in that sequence, shared due dates and b = 0."""
+    n = draw(st.integers(1, max_n))
+    a = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    seq = draw(st.permutations(list(range(1, n + 1))))
+    starts = list(accumulate([0] + [a[x - 1] for x in seq[:-1]]))
+    due = draw(st.integers(0, 4 * n))
+    jobs = tuple(
+        Job(
+            id=i,
+            a=a[i - 1],
+            b=draw(st.sampled_from([0, 0, 1, 3])),
+            d=draw(st.one_of(st.just(due), st.integers(0, 4 * n))),
+            h=draw(st.one_of(st.sampled_from(starts), st.integers(0, 4 * n))),
+        )
+        for i in range(1, n + 1)
+    )
+    return Instance(jobs=jobs), list(seq)

@@ -101,7 +101,28 @@ class TestSolve:
         )
         assert code == 0
         assert out.splitlines()[0] == "value 572"
+        assert out.splitlines()[2].startswith("labels ")
         assert "proven true" in out
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("b", -50), ("a", 0), ("h", -5), ("a", 2.5), ("h", None), ("d", "113")],
+        ids=["b=-50", "a=0", "h=-5", "a=2.5", "missing-h", "string-d"],
+    )
+    def test_malformed_instance_fails_cleanly(self, capsys, tmp_path, demo8_path, field, value):
+        payload = json.loads(demo8_path.read_text(encoding="utf-8"))
+        if value is None:
+            del payload["jobs"][2][field]
+        else:
+            payload["jobs"][2][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", "--instance", str(path), "--method", "swsp")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        expected = f"missing key '{field}'" if value is None else f"{field} must be"
+        assert expected in err
 
     def test_swsp(self, capsys, demo8_path):
         code, out, _ = run_cli(
@@ -177,6 +198,17 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--config", str(config))
         assert code == 0
         assert "missing.json" in err
+
+    def test_invalid_instance_file_reported(self, capsys, tmp_path, demo8_path):
+        payload = json.loads(demo8_path.read_text(encoding="utf-8"))
+        payload["name"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        config = self.write_config(tmp_path, demo8_path, instances=[str(bad), str(demo8_path)])
+        code, _, err = run_cli(capsys, "bench", "--config", str(config))
+        assert code == 0
+        assert f"error: {bad}: invalid instance: name must be a string" in err
+        assert len((tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()) == 3
 
 
 class TestExportMilp:

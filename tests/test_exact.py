@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from steptardy import (
     branch_and_bound,
     brute_force,
+    build_model,
     edd_sequence,
+    generate_suite,
     gvns,
     prefix_lower_bound,
     swsp,
@@ -15,8 +17,10 @@ from steptardy import (
     vns,
     SearchParams,
 )
+from steptardy.exact import BRANCH_AND_BOUND_CAP
 
-from conftest import instances, make_instance, random_instance
+from conftest import instances, make_instance, random_instance, tied_cases
+from test_milp import solve_with_highs
 
 
 class TestBruteForce:
@@ -39,10 +43,12 @@ class TestBruteForce:
         assert result.best_sequence == (2, 1)
 
     def test_cap_refused(self):
-        instance = make_instance([(1, 0, 0, 0)] * 11)
         with pytest.raises(ValueError, match="cap"):
-            brute_force(instance)
-        assert brute_force(instance, n_cap=11).best_value >= 0
+            brute_force(make_instance([(1, 0, 0, 0)] * 11))
+        four = make_instance([(1, 0, 0, 0)] * 4)
+        assert brute_force(four, n_cap=4).best_value == 1 + 2 + 3 + 4
+        with pytest.raises(ValueError, match="cap"):
+            brute_force(make_instance([(1, 0, 0, 0)] * 5), n_cap=4)
 
     def test_lexicographic_tie_break_and_count(self):
         # two identical jobs: both orders optimal, smallest sequence wins
@@ -107,27 +113,50 @@ class TestBranchAndBound:
         instance = make_instance([(5, 3, 100, 0)])
         assert branch_and_bound(instance).nodes_explored == 1
 
-    def test_node_limit_flags_unproven(self, demo8):
-        limited = branch_and_bound(demo8, node_limit=100)
-        assert not limited.proven
-        assert limited.nodes_explored == 100
-        assert limited.best_value >= 572
-
-    def test_dominance_pruning_keeps_value(self, demo8):
-        plain = branch_and_bound(demo8)
-        pruned = branch_and_bound(demo8, use_dominance=True)
-        assert pruned.best_value == plain.best_value
-        assert pruned.nodes_explored <= plain.nodes_explored
-
     def test_oracle_equivalence_thirty_random_nine_job_instances(self):
         rng = random.Random(909)
         for _ in range(30):
             instance = random_instance(rng, 9)
             bf = brute_force(instance)
-            for use_dominance in (False, True):
-                bb = branch_and_bound(instance, use_dominance=use_dominance)
-                assert bb.proven
-                assert bb.best_value == bf.best_value
+            bb = branch_and_bound(instance)
+            assert bb.proven
+            assert bb.best_value == bf.best_value
+            assert total_tardiness(instance, bb.best_sequence) == bb.best_value
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_cases(max_n=7))
+    def test_matches_brute_force_with_ties(self, case):
+        # ties, b = 0 and jobs starting exactly at their h are where a
+        # dominance rule that is too strong would drop the only optimum
+        instance, _ = case
+        bb = branch_and_bound(instance)
+        assert bb.best_value == brute_force(instance).best_value
+        assert sorted(bb.best_sequence) == list(range(1, instance.n + 1))
+        assert total_tardiness(instance, bb.best_sequence) == bb.best_value
+
+    @pytest.mark.parametrize("n, group", [(6, 0), (6, 5), (7, 3), (7, 5), (8, 3)])
+    def test_matches_highs_milp_optimum(self, n, group):
+        instance = generate_suite([n], 0)[group]
+        assert branch_and_bound(instance).best_value == solve_with_highs(build_model(instance))
+
+    def test_size_cap(self):
+        rng = random.Random(13)
+        assert branch_and_bound(random_instance(rng, BRANCH_AND_BOUND_CAP)).proven
+        with pytest.raises(ValueError, match="cap"):
+            branch_and_bound(random_instance(rng, BRANCH_AND_BOUND_CAP + 1))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(3, -2, 4, 0), (1, 0, 1, 0)],  # with b < 0 the Pareto pruning is unsound
+            [(0, 1, 4, 0), (1, 0, 1, 0)],
+            [(2.5, 1, 4, 0), (1, 0, 1, 0)],
+        ],
+        ids=["negative-b", "zero-a", "float-a"],
+    )
+    def test_invalid_instance_refused(self, rows):
+        with pytest.raises(ValueError, match="refused"):
+            branch_and_bound(make_instance(rows))
 
 
 def test_heuristics_never_beat_the_oracle():

@@ -7,20 +7,23 @@ search some 40x slower, so its absence is a failure wherever a C compiler
 exists.
 """
 
+import os
 import random
 import shutil
+import subprocess
+import sys
 import sysconfig
-from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steptardy import NEIGHBORHOOD_IDS, Instance, Job, descend, generate_suite
+from steptardy import NEIGHBORHOOD_IDS, descend, generate_suite
 from steptardy import neighborhoods
 from steptardy.neighborhoods import _descend_kernel, _descend_python
 
-from conftest import make_instance
+from conftest import make_instance, tied_cases
 
 needs_kernel = pytest.mark.skipif(
     neighborhoods._kernel is None, reason=f"C kernel not loaded: {neighborhoods._KERNEL_ERROR}"
@@ -56,28 +59,6 @@ def test_parity_on_generated_instances(n):
                 rng.shuffle(seq)
                 python, kernel = _both(instance, seq, k)
                 assert kernel == python, (instance.name, seq, k)
-
-
-@st.composite
-def tied_cases(draw):
-    """Small instances full of ties: jobs that start exactly at their h,
-    shared due dates and b = 0."""
-    n = draw(st.integers(1, 9))
-    a = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    seq = draw(st.permutations(list(range(1, n + 1))))
-    starts = list(accumulate([0] + [a[x - 1] for x in seq[:-1]]))
-    due = draw(st.integers(0, 4 * n))
-    jobs = tuple(
-        Job(
-            id=i,
-            a=a[i - 1],
-            b=draw(st.sampled_from([0, 0, 1, 3])),
-            d=draw(st.one_of(st.just(due), st.integers(0, 4 * n))),
-            h=draw(st.one_of(st.sampled_from(starts), st.integers(0, 4 * n))),
-        )
-        for i in range(1, n + 1)
-    )
-    return Instance(jobs=jobs), list(seq)
 
 
 @needs_kernel
@@ -136,3 +117,32 @@ def test_missing_kernel_takes_python_path(monkeypatch, demo8):
 def test_sequence_checked_before_the_kernel(demo8):
     with pytest.raises(ValueError):
         descend(demo8, [1, 2, 3, 4, 5, 6, 7, 9], 1)
+
+
+@needs_kernel
+def test_rebuild_deletes_the_older_library(tmp_path):
+    package = tmp_path / "steptardy"
+    shutil.copytree(
+        Path(neighborhoods.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+
+    def import_copy():
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from steptardy import neighborhoods as m; assert m._kernel, m._KERNEL_ERROR"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return sorted(path.name for path in (package / "__pycache__").glob("_kernel-*.so"))
+
+    first = import_copy()
+    assert len(first) == 1
+    source = package / "_kernel.c"
+    source.write_text(source.read_text() + "\n/* changed */\n")
+    second = import_copy()
+    assert len(second) == 1
+    assert second != first
