@@ -1,16 +1,21 @@
-/* First-improvement descent for steptardy.neighborhoods, in int64.
+/* The hot loops of steptardy, in int64, loaded with ctypes.
 
-   A line-for-line port of the Python reference in neighborhoods.py:
-   _prefix_state, _tail_eval, the five _scan_* functions and descend's
-   fixpoint loop.  Moves are scanned in the same canonical order with the
-   same bail-outs, so every descent accepts the same first improving move
-   and returns the same sequence as the Python scanners.
+   Line-for-line ports of the Python references:
+   - neighborhoods.py: _prefix_state, _tail_eval, the five _scan_* functions
+     and descend's fixpoint loop.  Moves are scanned in the same canonical
+     order with the same bail-outs, so every descent accepts the same first
+     improving move and returns the same sequence as the Python scanners.
+   - swsp.py: weighted_search (with greedy_construct and _total) and
+     pairwise_swap_pass.  The greedy scores are the same double expression,
+     w1*d + w2*p + w3*h evaluated left to right from the weights Python
+     computed, so every comparison and tie-break matches.  The build passes
+     -ffp-contract=off: a fused multiply-add would round differently.
 
    Jobs are rows (a, a + b, d, h) indexed by job id; row 0 is unused.  The
    caller guarantees that seq is a permutation of 1..n and that no
    completion time or tardiness sum can overflow int64.
 
-   Built and loaded with ctypes by neighborhoods.py on first import.  */
+   Built and loaded by neighborhoods.py on first import.  */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -252,4 +257,108 @@ int steptardy_descend(const job_t *J, i64 n, i64 *seq, int k)
     while (SCANS[k](seq, J, C, TS, TS[n], n));
     free(C);
     return 0;
+}
+
+/* SWSP.  _total: the total tardiness of a whole sequence.  */
+static i64 total_of(const i64 *seq, const job_t *J, i64 n)
+{
+    i64 c = 0, t = 0;
+    for (i64 k = 0; k < n; k++) {
+        const job_t *x = &J[seq[k]];
+        c += c <= x->h ? x->a : x->ab;
+        if (c > x->d)
+            t += c - x->d;
+    }
+    return t;
+}
+
+/* greedy_construct for the weights w = (w1, w2, w3).  left (n entries) and
+   key (2 * (n + 1)) are scratch.  A job's score takes one of two values,
+   for p = a and p = a + b; both are computed up front by the same
+   expression the Python evaluates at each step.  The unscheduled jobs stay
+   in increasing id order, so a strict < keeps the smaller id on a tie.  */
+static void greedy_construct(const job_t *J, i64 n, const double *w, i64 *seq, i64 *left, double *key)
+{
+    double *key_a = key, *key_ab = key + n + 1;
+    for (i64 j = 1; j <= n; j++) {
+        key_a[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].a + w[2] * (double)J[j].h;
+        key_ab[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].ab + w[2] * (double)J[j].h;
+    }
+    i64 first = 1;
+    for (i64 j = 2; j <= n; j++)
+        if (J[j].d < J[first].d)
+            first = j;
+    i64 m = 0;
+    for (i64 j = 1; j <= n; j++)
+        if (j != first)
+            left[m++] = j;
+    seq[0] = first;
+    i64 c = J[first].a; /* the first start is 0 <= h for any h >= 0 */
+    for (i64 k = 1; k < n; k++) {
+        i64 best = 0;
+        double best_key = 0.0;
+        for (i64 i = 0; i < m; i++) {
+            i64 j = left[i];
+            double kj = c <= J[j].h ? key_a[j] : key_ab[j];
+            if (i == 0 || kj < best_key) {
+                best_key = kj;
+                best = i;
+            }
+        }
+        i64 nxt = left[best];
+        memmove(left + best, left + best + 1, (size_t)(m - best - 1) * sizeof *left);
+        m--;
+        seq[k] = nxt;
+        c += c <= J[nxt].h ? J[nxt].a : J[nxt].ab;
+    }
+}
+
+/* weighted_search over the m triples of grid (w1, w2, w3 each), n >= 2:
+   best_seq gets the first sequence that reaches the best total, trace[t]
+   the best total after triple t.  Returns 0, or -1 when out of memory.  */
+int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
+{
+    i64 *seq = malloc((size_t)n * 2 * sizeof *seq);
+    double *key = malloc((size_t)(n + 1) * 2 * sizeof *key);
+    if (seq == NULL || key == NULL) {
+        free(seq);
+        free(key);
+        return -1;
+    }
+    i64 *left = seq + n, best_val = 0;
+    for (i64 t = 0; t < m; t++) {
+        greedy_construct(J, n, grid + 3 * t, seq, left, key);
+        i64 val = total_of(seq, J, n);
+        if (t == 0 || val < best_val) {
+            memcpy(best_seq, seq, (size_t)n * sizeof *seq);
+            best_val = val;
+        }
+        trace[t] = best_val;
+    }
+    free(seq);
+    free(key);
+    return 0;
+}
+
+/* pairwise_swap_pass in place: every ordered pair i != j, a swap kept only
+   when it strictly lowers the total.  */
+void steptardy_pairwise_swap_pass(const job_t *J, i64 n, i64 *seq)
+{
+    i64 best = total_of(seq, J, n);
+    for (i64 i = 0; i < n; i++) {
+        for (i64 j = 0; j < n; j++) {
+            if (i == j)
+                continue;
+            i64 x = seq[i];
+            seq[i] = seq[j];
+            seq[j] = x;
+            i64 val = total_of(seq, J, n);
+            if (val < best) {
+                best = val;
+            } else {
+                seq[j] = seq[i];
+                seq[i] = x;
+            }
+        }
+    }
 }

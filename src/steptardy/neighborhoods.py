@@ -21,9 +21,10 @@ the remaining tardiness off the prefix sums once the completion time
 re-synchronizes.
 
 ``_kernel.c`` is a line-for-line int64 port of those scanners and of the
-descent loop.  On first import it is compiled with the C compiler Python
-was built with into this package's ``__pycache__``, under a name keyed by
-the hash of its source and compile command, and loaded with ctypes.
+descent loop, and of SWSP's weighted search and swap pass (see ``swsp``).
+On first import it is compiled with the C compiler Python was built with
+into this package's ``__pycache__``, under a name keyed by the hash of its
+source, the compile flags and the interpreter, and loaded with ctypes.
 ``descend`` runs it whenever it loaded and the instance has integer values
 small enough for int64 (``Instance._int64_rows``); otherwise it runs the
 Python scanners, which stay the reference.  Both return the same sequence.
@@ -35,7 +36,7 @@ import contextlib
 import ctypes
 import hashlib
 import os
-import sysconfig
+import sys
 import warnings
 from itertools import permutations
 from pathlib import Path
@@ -339,44 +340,73 @@ _SCANNERS = {
 }
 
 
+_KERNEL_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+
+
+def _build_kernel(source, library, failure):
+    """Compile ``source`` into ``library`` with the compiler Python was built
+    with, or write the compiler's stderr to ``failure``; then delete every
+    other build and failure."""
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    command = (sysconfig.get_config_var("CC") or "cc").split() + _KERNEL_FLAGS
+    library.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=library.parent)
+    os.close(fd)
+    try:
+        build = subprocess.run(command + ["-o", tmp, str(source)], capture_output=True, text=True)
+        if build.returncode != 0:
+            Path(tmp).write_text(f"{' '.join(command)} failed:\n{build.stderr}")
+        built = library if build.returncode == 0 else failure
+        # a concurrent import sees either no file or a whole one
+        os.replace(tmp, built)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    # older builds are never read again; one left behind does no harm
+    for stale in [*library.parent.glob("_kernel-*.so"), *library.parent.glob("_kernel-*.err")]:
+        if stale != built:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+
+
 def _load_kernel():
     """Compile ``_kernel.c`` on a cache miss, delete older builds, and load it.
 
-    Returns (descend function, None), or (None, the reason it is missing:
-    the compiler's stderr or the loader's error).
+    Returns (the library, None), or (None, the reason it is missing: the
+    compiler's stderr or the loader's error).  A failed build leaves its
+    stderr in ``_kernel-<key>.err``, which later imports report without
+    running the compiler again.  The key covers the source, the flags and
+    the interpreter, so a change to any of them builds afresh.
     """
     source = Path(__file__).with_name("_kernel.c")
-    command = (sysconfig.get_config_var("CC") or "cc").split() + ["-O2", "-shared", "-fPIC"]
+    # The compiler is a build-time constant of the interpreter, so the
+    # interpreter's identity stands in for it: a cache hit needs no
+    # sysconfig, whose table would stay resident (~0.5 MB) for one string.
+    identity = " ".join([sys.base_prefix, sys.version, *_KERNEL_FLAGS])
     try:
-        key = hashlib.sha256(source.read_bytes() + " ".join(command).encode()).hexdigest()
+        key = hashlib.sha256(source.read_bytes() + identity.encode()).hexdigest()
         library = source.parent / "__pycache__" / f"_kernel-{key[:16]}.so"
+        failure = library.with_suffix(".err")
+        if not (library.exists() or failure.exists()):
+            _build_kernel(source, library, failure)
         if not library.exists():
-            import subprocess
-            import tempfile
-
-            library.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=library.parent)
-            os.close(fd)
-            try:
-                build = subprocess.run(
-                    command + ["-o", tmp, str(source)], capture_output=True, text=True
-                )
-                if build.returncode != 0:
-                    return None, f"{' '.join(command)} failed:\n{build.stderr}"
-                # a concurrent import sees either no library or a whole one
-                os.replace(tmp, library)
-                # older builds are never loaded again; one left behind does no harm
-                for stale in set(library.parent.glob("_kernel-*.so")) - {library}:
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(library)).steptardy_descend
+            return None, failure.read_text()
+        kernel = ctypes.CDLL(str(library))
+        i64, seq, rows = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p
+        for name, argtypes, restype in (
+            ("steptardy_descend", (rows, i64, seq, ctypes.c_int), ctypes.c_int),
+            ("steptardy_weighted_search",
+             (rows, i64, ctypes.POINTER(ctypes.c_double), i64, seq, seq), ctypes.c_int),
+            ("steptardy_pairwise_swap_pass", (rows, i64, seq), None),
+        ):
+            function = getattr(kernel, name)
+            function.argtypes = argtypes
+            function.restype = restype
     except (OSError, AttributeError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
-    kernel.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), ctypes.c_int)
-    kernel.restype = ctypes.c_int
     return kernel, None
 
 
@@ -386,7 +416,7 @@ _kernel, _KERNEL_ERROR = _load_kernel()
 def _descend_kernel(rows: bytes, sequence: Sequence[int], k: int) -> list[int]:
     """``descend`` in the C kernel over ``Instance._int64_rows``."""
     seq = (ctypes.c_int64 * len(sequence))(*sequence)
-    if _kernel(rows, len(seq), seq, k) != 0:
+    if _kernel.steptardy_descend(rows, len(seq), seq, k) != 0:
         raise MemoryError("C kernel could not allocate its prefix arrays")
     return list(seq)
 

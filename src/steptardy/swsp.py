@@ -5,14 +5,25 @@ sequence is built greedily by always appending the unscheduled job with the
 smallest weighted score w1*d_j + w2*p_j + w3*h_j, where p_j is the
 processing time the job would actually incur if started now.  The best
 constructed sequence is then polished by a pairwise-swap improvement pass.
+
+The n*n triples cost O(n^2) each, so the weighted search is O(n^4).  It and
+the swap pass run in the C kernel of ``neighborhoods`` (``_kernel.c``)
+under the same conditions as ``descend``: the kernel loaded and the
+instance fits int64.  ``_weights`` computes the weights for both paths
+(``weight_grid`` wraps them in ``WeightTriple``s), and the C scores are the
+same double expression, so both return the same sequence, value and trace.
+The Python code below stays the reference and the fallback.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import neighborhoods
 from .core import Instance, RunResult, _check_permutation, total_tardiness
 
 
@@ -53,9 +64,17 @@ def weight_grid(n: int, params: SwspParams = SwspParams()) -> list[WeightTriple]
     l2 = 1..n, and w3 = 1 - w1 - w2 clamped to the fallback when <= 0.
     Needs n >= 2 (the ramp divides by n - 1).
     """
+    w = _weights(n, params)
+    return [WeightTriple(w[i], w[i + 1], w[i + 2]) for i in range(0, len(w), 3)]
+
+
+def _weights(n: int, params: SwspParams) -> array:
+    """The weights of ``weight_grid`` as one flat array of doubles, (w1, w2,
+    w3) for each triple in turn: what the C kernel reads, without building
+    n*n objects."""
     if n < 2:
         raise ValueError("weight grid needs n >= 2")
-    triples = []
+    weights = array("d")
     for l1 in range(1, n + 1):
         w1 = params.w1_min + (params.w1_max - params.w1_min) * (l1 - 1) / (n - 1)
         for l2 in range(1, n + 1):
@@ -63,8 +82,8 @@ def weight_grid(n: int, params: SwspParams = SwspParams()) -> list[WeightTriple]
             w3 = 1.0 - w1 - w2
             if w3 <= 0:
                 w3 = params.w3_fallback
-            triples.append(WeightTriple(w1, w2, w3))
-    return triples
+            weights.extend((w1, w2, w3))
+    return weights
 
 
 def greedy_construct(instance: Instance, triple: WeightTriple) -> list[int]:
@@ -105,6 +124,23 @@ def pairwise_swap_pass(instance: Instance, sequence: Sequence[int]) -> list[int]
     are evaluated against it.
     """
     _check_permutation(instance, sequence)
+    # the kernel indexes its rows by job id, so only a checked permutation
+    # may reach it
+    rows = instance._int64_rows if neighborhoods._kernel is not None else None
+    if rows is None:
+        return _pairwise_swap_pass_python(instance, sequence)
+    return _pairwise_swap_pass_kernel(rows, sequence)
+
+
+def _pairwise_swap_pass_kernel(rows: bytes, sequence: Sequence[int]) -> list[int]:
+    """``pairwise_swap_pass`` in the C kernel over ``Instance._int64_rows``."""
+    seq = (ctypes.c_int64 * len(sequence))(*sequence)
+    neighborhoods._kernel.steptardy_pairwise_swap_pass(rows, len(seq), seq)
+    return list(seq)
+
+
+def _pairwise_swap_pass_python(instance: Instance, sequence: Sequence[int]) -> list[int]:
+    """``pairwise_swap_pass`` in Python: the reference and the fallback."""
     a, ab, d, h = instance._columns
     n = instance.n
     seq = list(sequence)
@@ -130,11 +166,34 @@ def weighted_search(
     Returns (sequence, value, trace) where trace[i] is the best value after
     the i-th triple; the first triple reaching the best value wins ties.
     """
+    rows = instance._int64_rows if neighborhoods._kernel is not None else None
+    if rows is None:
+        return _weighted_search_python(instance, weight_grid(instance.n, params))
+    return _weighted_search_kernel(rows, instance.n, _weights(instance.n, params))
+
+
+def _weighted_search_kernel(
+    rows: bytes, n: int, weights: array
+) -> tuple[list[int], int, list[int]]:
+    """``weighted_search`` in the C kernel, over ``_weights``."""
+    m = len(weights) // 3
+    seq = (ctypes.c_int64 * n)()
+    trace = (ctypes.c_int64 * m)()
+    grid = (ctypes.c_double * len(weights)).from_buffer(weights)
+    if neighborhoods._kernel.steptardy_weighted_search(rows, n, grid, m, seq, trace) != 0:
+        raise MemoryError("C kernel could not allocate its greedy arrays")
+    return list(seq), trace[-1], list(trace)
+
+
+def _weighted_search_python(
+    instance: Instance, grid: list[WeightTriple]
+) -> tuple[list[int], int, list[int]]:
+    """``weighted_search`` in Python: the reference and the fallback."""
     a, ab, d, h = instance._columns
     best_seq: list[int] | None = None
     best_val: int | None = None
     trace = []
-    for triple in weight_grid(instance.n, params):
+    for triple in grid:
         seq = greedy_construct(instance, triple)
         val = _total(seq, a, ab, d, h)
         if best_val is None or val < best_val:

@@ -46,6 +46,7 @@ def _cases():
     for instance in generate_suite([50], 0):
         if instance.name.startswith(("S_12", "S_22")):
             out.append((f"{instance.name}:gvns-10", instance, "gvns", SHORT_GVNS))
+        out.append((f"{instance.name}:swsp", instance, "swsp", None))
     return out
 
 

@@ -1,12 +1,14 @@
-"""The C scanners against the Python reference, and when each one runs.
+"""The C kernel against the Python reference, and when each one runs.
 
-``descend`` runs ``_kernel.c`` when it built and the instance fits int64,
-and the Python scanners otherwise.  The two must return the same list for
-every input.  A kernel that silently failed to build would make every
-search some 40x slower, so its absence is a failure wherever a C compiler
-exists.
+``descend``, SWSP's ``weighted_search`` and ``pairwise_swap_pass`` run
+``_kernel.c`` when it built and the instance fits int64, and their Python
+code otherwise.  The two must return the same result for every input.  A
+kernel that silently failed to build would make every search some 40x
+slower, so its absence is a failure wherever a C compiler exists, and so
+is a compiler warning in it.
 """
 
+import importlib
 import os
 import random
 import shutil
@@ -22,21 +24,48 @@ from hypothesis import strategies as st
 from steptardy import NEIGHBORHOOD_IDS, descend, generate_suite
 from steptardy import neighborhoods
 from steptardy.neighborhoods import _descend_kernel, _descend_python
+from steptardy.swsp import (
+    SwspParams,
+    _pairwise_swap_pass_kernel,
+    _pairwise_swap_pass_python,
+    _weighted_search_kernel,
+    _weighted_search_python,
+    _weights,
+    pairwise_swap_pass,
+    weight_grid,
+    weighted_search,
+)
 
-from conftest import make_instance, tied_cases
+from conftest import instances_with_sequence, make_instance, tied_cases
 
 needs_kernel = pytest.mark.skipif(
     neighborhoods._kernel is None, reason=f"C kernel not loaded: {neighborhoods._KERNEL_ERROR}"
 )
+COMPILER = (sysconfig.get_config_var("CC") or "cc").split()
+needs_compiler = pytest.mark.skipif(
+    shutil.which(COMPILER[0]) is None,
+    reason=f"no C compiler {COMPILER[0]!r} on PATH: the Python code runs",
+)
+KERNEL_SOURCE = Path(neighborhoods.__file__).with_name("_kernel.c")
+# the package exports the function swsp under the module's name
+swsp_module = importlib.import_module("steptardy.swsp")
 
 
+@needs_compiler
 def test_kernel_loads_where_a_compiler_exists():
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler {compiler!r} on PATH: descend runs the Python scanners")
     assert neighborhoods._kernel is not None, (
-        f"{compiler} is on PATH but the C kernel did not load:\n{neighborhoods._KERNEL_ERROR}"
+        f"{COMPILER[0]} is on PATH but the C kernel did not load:\n{neighborhoods._KERNEL_ERROR}"
     )
+
+
+@needs_compiler
+def test_kernel_compiles_without_warnings():
+    proc = subprocess.run(
+        COMPILER + ["-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(KERNEL_SOURCE)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _both(instance, seq, k):
@@ -119,30 +148,185 @@ def test_sequence_checked_before_the_kernel(demo8):
         descend(demo8, [1, 2, 3, 4, 5, 6, 7, 9], 1)
 
 
+def _swsp_both(instance, seq):
+    """(Python, kernel) results of the weighted search and of the swap pass
+    from seq and from the weighted search's sequence."""
+    rows = instance._int64_rows
+    found = _weighted_search_python(instance, weight_grid(instance.n))
+    python = (
+        found,
+        _pairwise_swap_pass_python(instance, seq),
+        _pairwise_swap_pass_python(instance, found[0]),
+    )
+    kernel = (
+        _weighted_search_kernel(rows, instance.n, _weights(instance.n, SwspParams())),
+        _pairwise_swap_pass_kernel(rows, seq),
+        _pairwise_swap_pass_kernel(rows, found[0]),
+    )
+    return python, kernel
+
+
 @needs_kernel
-def test_rebuild_deletes_the_older_library(tmp_path):
+@pytest.mark.parametrize("n", [2, 3, 8, 25, 50])
+def test_swsp_parity_on_generated_instances(n):
+    rng = random.Random(n)
+    # the Python weighted search takes ~0.5 s per n=50 instance
+    for instance in generate_suite([n], 0):
+        seq = list(range(1, n + 1))
+        rng.shuffle(seq)
+        python, kernel = _swsp_both(instance, seq)
+        assert kernel == python, (instance.name, seq)
+
+
+@st.composite
+def equal_jobs(draw):
+    """Instances of a few job types, so many jobs score exactly alike and
+    only the id tie-break orders them; with a sequence."""
+    kinds = draw(st.lists(
+        st.tuples(st.integers(1, 4), st.sampled_from([0, 1, 3]), st.integers(0, 20),
+                  st.integers(0, 20)),
+        min_size=1, max_size=3,
+    ))
+    rows = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=12))
+    seq = draw(st.permutations(list(range(1, len(rows) + 1))))
+    return make_instance(rows), list(seq)
+
+
+@needs_kernel
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    equal_jobs(),
+    tied_cases().filter(lambda case: case[0].n >= 2),
+    # short jobs with long steps: the greedy's completion often lands on an h
+    instances_with_sequence(min_n=2, max_a=3, max_b=10, max_d=24, max_h=24),
+))
+def test_swsp_parity_with_ties(case):
+    instance, seq = case
+    python, kernel = _swsp_both(instance, seq)
+    assert kernel == python
+
+
+@needs_kernel
+def test_swsp_parity_near_the_int64_bound():
+    rng = random.Random(11)
+    big = 2**54
+    instance = make_instance(
+        [(rng.randint(1, big), rng.randint(0, big), rng.randint(0, 4 * big), rng.randint(0, 4 * big))
+         for _ in range(6)]
+    )
+    assert instance._int64_rows is not None
+    python, kernel = _swsp_both(instance, [6, 5, 4, 3, 2, 1])
+    assert kernel == python
+
+
+def _no_swsp_kernel(monkeypatch):
+    monkeypatch.setattr(swsp_module, "_weighted_search_kernel", _no_kernel)
+    monkeypatch.setattr(swsp_module, "_pairwise_swap_pass_kernel", _no_kernel)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(2.5, 1, 3, 2), (1, 0, 1, 0), (2, 3, 2, 1), (3, 1, 4, 0)],
+        [(2**61, 1, 3, 2), (1, 0, 1, 0), (2, 3, 2, 1), (3, 1, 4, 0)],
+    ],
+    ids=["float-field", "past-overflow-bound"],
+)
+def test_swsp_out_of_kernel_range_takes_python_path(monkeypatch, rows):
+    instance = make_instance(rows)
+    assert instance._int64_rows is None
+    _no_swsp_kernel(monkeypatch)
+    assert weighted_search(instance) == _weighted_search_python(instance, weight_grid(4))
+    assert pairwise_swap_pass(instance, [4, 3, 2, 1]) == _pairwise_swap_pass_python(
+        instance, [4, 3, 2, 1]
+    )
+
+
+def test_swsp_missing_kernel_takes_python_path(monkeypatch, demo8):
+    expected = (
+        _weighted_search_python(demo8, weight_grid(8)),
+        _pairwise_swap_pass_python(demo8, [8, 7, 6, 5, 4, 3, 2, 1]),
+    )
+    monkeypatch.setattr(neighborhoods, "_kernel", None)
+    _no_swsp_kernel(monkeypatch)
+    assert (weighted_search(demo8), pairwise_swap_pass(demo8, [8, 7, 6, 5, 4, 3, 2, 1])) == expected
+
+
+@needs_kernel
+def test_swsp_inputs_checked_before_the_kernel(monkeypatch, demo8):
+    _no_swsp_kernel(monkeypatch)
+    with pytest.raises(ValueError):
+        pairwise_swap_pass(demo8, [1, 2, 3, 4, 5, 6, 7, 9])
+    with pytest.raises(ValueError):
+        weighted_search(make_instance([(1, 0, 1, 0)]))
+
+
+def _copy_package(tmp_path):
     package = tmp_path / "steptardy"
     shutil.copytree(
         Path(neighborhoods.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
     )
+    return package
 
-    def import_copy():
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from steptardy import neighborhoods as m; assert m._kernel, m._KERNEL_ERROR"],
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(tmp_path)},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return sorted(path.name for path in (package / "__pycache__").glob("_kernel-*.so"))
 
-    first = import_copy()
+# run in a fresh interpreter with the copy first on the path; this prelude
+# makes any process start (the compiler's) fail the import
+NO_PROCESS = (
+    "import subprocess\n"
+    "def _refuse(*args, **kwargs):\n"
+    "    raise AssertionError('a process was started')\n"
+    "subprocess.Popen = _refuse\n"
+)
+
+
+def _import_copy(tmp_path, script, prelude=""):
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + "from steptardy import neighborhoods as m\n" + script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _builds(package):
+    return sorted(path.name for path in (package / "__pycache__").glob("_kernel-*"))
+
+
+@needs_kernel
+def test_rebuild_deletes_the_older_library(tmp_path):
+    package = _copy_package(tmp_path)
+    loads = "assert m._kernel, m._KERNEL_ERROR"
+    _import_copy(tmp_path, loads)
+    first = _builds(package)
     assert len(first) == 1
+    _import_copy(tmp_path, loads, prelude=NO_PROCESS)
     source = package / "_kernel.c"
     source.write_text(source.read_text() + "\n/* changed */\n")
-    second = import_copy()
+    _import_copy(tmp_path, loads)
+    second = _builds(package)
     assert len(second) == 1
     assert second != first
+
+
+@needs_kernel
+def test_failed_build_is_recorded_not_retried(tmp_path):
+    package = _copy_package(tmp_path)
+    source = package / "_kernel.c"
+    good = source.read_text()
+    source.write_text(good + "\n#error deliberately broken\n")
+    reports = "assert m._kernel is None\nprint(m._KERNEL_ERROR)"
+    first = _import_copy(tmp_path, reports)
+    assert "deliberately broken" in first
+    [failure] = _builds(package)
+    assert failure.endswith(".err")
+    # the second import reads the recorded stderr and starts no compiler
+    assert _import_copy(tmp_path, reports, prelude=NO_PROCESS) == first
+    # a new key builds afresh and deletes the old failure
+    source.write_text(good)
+    _import_copy(tmp_path, "assert m._kernel, m._KERNEL_ERROR")
+    [library] = _builds(package)
+    assert library.endswith(".so")
