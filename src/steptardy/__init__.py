@@ -2,15 +2,15 @@
 
 Library layout:
 
-- ``core``: domain types, schedule evaluator, instance JSON format
+- ``core``: validated domain types, schedule evaluator, instance JSON format
 - ``milp``: 0-1 integer programming model and LP-file export
 - ``exact``: brute-force oracle and branch and bound for small instances
 - ``swsp``: weighted-search constructive heuristic with swap improvement
 - ``neighborhoods``: local-search operators, shaking and 3-opt perturbation
 - ``metaheuristics``: GVNS and VNS with EDD initialization
 - ``generator``: random benchmark instances by group
-- ``harness``: metrics, benchmark orchestration, CSV reports
-- ``cli``: the ``steptardy`` command
+- ``harness``: the method list, metrics, benchmark runs, CSV reports
+- ``cli``: the ``steptardy`` command (``bench --config`` runs experiments)
 """
 
 from .core import (
@@ -18,7 +18,6 @@ from .core import (
     Job,
     RunResult,
     ScheduleResult,
-    actual_processing_time,
     check_dominance,
     evaluate_schedule,
     instance_from_json,
@@ -26,7 +25,6 @@ from .core import (
     load_instance,
     save_instance,
     total_tardiness,
-    validate_instance,
 )
 from .exact import OptimalResult, branch_and_bound, brute_force, prefix_lower_bound
 from .generator import GenSpec, generate_instance, generate_suite, reference_makespan
@@ -58,7 +56,6 @@ __all__ = [
     "SearchParams",
     "SwspParams",
     "WeightTriple",
-    "actual_processing_time",
     "big_m",
     "branch_and_bound",
     "brute_force",
@@ -87,7 +84,6 @@ __all__ = [
     "swsp",
     "total_tardiness",
     "two_opt_move",
-    "validate_instance",
     "vnd",
     "vns",
     "weight_grid",

@@ -21,7 +21,7 @@ import time
 from .core import evaluate_schedule, instance_to_json, load_instance
 from .exact import DEFAULT_BRUTE_FORCE_CAP, branch_and_bound, brute_force
 from .generator import GenSpec, generate_instance
-from .harness import ExperimentConfig, render_markdown, run_benchmark
+from .harness import METHODS, ExperimentConfig, render_markdown, run_benchmark
 from .metaheuristics import SearchParams, gvns, vns
 from .milp import build_model, export_lp
 from .swsp import SwspParams, swsp
@@ -68,19 +68,10 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     if args.method == "exact":
         res = brute_force(instance, n_cap=args.brute_cap)
-        lines = [
-            f"value {res.best_value}",
-            f"sequence {','.join(map(str, res.best_sequence))}",
-            f"optima {res.optimal_set_size}",
-        ]
+        extra = [f"optima {res.optimal_set_size}"]
     elif args.method == "bb":
         res = branch_and_bound(instance)
-        lines = [
-            f"value {res.best_value}",
-            f"sequence {','.join(map(str, res.best_sequence))}",
-            f"labels {res.nodes_explored}",
-            f"proven {str(res.proven).lower()}",
-        ]
+        extra = [f"labels {res.nodes_explored}", f"proven {str(res.proven).lower()}"]
     elif args.method == "swsp":
         params = SwspParams(
             w1_min=args.w1_min,
@@ -90,27 +81,18 @@ def _cmd_solve(args) -> int:
             w3_fallback=args.w3_fallback,
             swap_until_fixpoint=args.swap_until_fixpoint,
         )
-        run = swsp(instance, params)
-        lines = [
-            f"value {run.best_value}",
-            f"sequence {','.join(map(str, run.best_sequence))}",
-            f"iterations {run.iterations}",
-        ]
+        res = swsp(instance, params)
+        extra = [f"iterations {res.iterations}"]
     else:
         params = SearchParams(
             iter_max=args.iter_max, iter_nip=args.iter_nip, gamma=args.gamma, seed=args.seed
         )
-        solver = gvns if args.method == "gvns" else vns
-        run = solver(instance, params)
-        lines = [
-            f"value {run.best_value}",
-            f"sequence {','.join(map(str, run.best_sequence))}",
-            f"iterations {run.iterations}",
-            f"perturbations {run.perturbations}",
-            f"seed {run.seed}",
-        ]
+        res = (gvns if args.method == "gvns" else vns)(instance, params)
+        extra = [f"iterations {res.iterations}", f"perturbations {res.perturbations}",
+                 f"seed {res.seed}"]
     elapsed = time.perf_counter() - t0
-    print("\n".join(lines))
+    sequence = ",".join(map(str, res.best_sequence))
+    print("\n".join([f"value {res.best_value}", f"sequence {sequence}", *extra]))
     print(f"elapsed {elapsed:.2f}s", file=sys.stderr)
     return 0
 
@@ -167,8 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one method on one instance")
     solve.add_argument("--instance", required=True, help="instance JSON path")
-    solve.add_argument("--method", required=True,
-                       choices=("exact", "bb", "swsp", "vns", "gvns"))
+    solve.add_argument("--method", required=True, choices=METHODS)
     solve.add_argument("--seed", type=int, default=0, help="run seed (vns/gvns)")
     solve.add_argument("--iter-max", type=int, default=500, help="iteration budget")
     solve.add_argument("--iter-nip", type=int, default=150,

@@ -33,21 +33,23 @@ class Job:
 
 @dataclass(frozen=True)
 class Instance:
-    """An ordered collection of jobs with ids exactly 1..n."""
+    """An ordered collection of jobs with ids exactly 1..n.
+
+    Construction raises one ValueError naming every broken invariant.
+    """
 
     jobs: tuple[Job, ...]
     name: str = ""
     seed: int | None = None
 
+    def __post_init__(self):
+        problems = _validate_instance(self)
+        if problems:
+            raise ValueError(f"invalid instance: {'; '.join(problems)}")
+
     @property
     def n(self) -> int:
         return len(self.jobs)
-
-    def job(self, job_id: int) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
 
     # Derived columns are computed once per instance and kept in its
     # __dict__; equality, hashing, repr and JSON see only the fields.
@@ -56,37 +58,24 @@ class Instance:
     def _columns(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Per-field lists indexed by job id (index 0 unused) for fast evaluation.
 
-        Returns (a, ab, d, h) with ab[j] = a[j] + b[j].  Requires ids 1..n.
+        Returns (a, ab, d, h) with ab[j] = a[j] + b[j].
         """
-        n = self.n
-        a = [0] * (n + 1)
-        ab = [0] * (n + 1)
-        d = [0] * (n + 1)
-        h = [0] * (n + 1)
-        filled = [False] * (n + 1)
-        for job in self.jobs:
-            if not 1 <= job.id <= n or filled[job.id]:
-                raise ValueError(f"instance job ids must be exactly 1..{n}")
-            filled[job.id] = True
-            a[job.id] = job.a
-            ab[job.id] = job.a + job.b
-            d[job.id] = job.d
-            h[job.id] = job.h
+        by_id = sorted(self.jobs, key=lambda job: job.id)
+        a = [0] + [job.a for job in by_id]
+        ab = [0] + [job.a + job.b for job in by_id]
+        d = [0] + [job.d for job in by_id]
+        h = [0] + [job.h for job in by_id]
         return a, ab, d, h
 
     @cached_property
     def _int64_rows(self) -> bytes | None:
         """The columns as native int64 rows (a, ab, d, h) by job id, for the C scanners.
 
-        None when a field is not an int, or when a value is so large that a
-        completion time or tardiness sum could overflow int64: the bound is
-        n * (sum |a| + sum |ab| + max |d|) < 2**62, with |h| < 2**62.
+        None when a value is so large that a completion time or tardiness sum
+        could overflow int64: the bound is n * (sum |a| + sum |ab| + max |d|)
+        < 2**62, with |h| < 2**62.
         """
         a, ab, d, h = self._columns
-        if not all(
-            isinstance(v, int) for job in self.jobs for v in (job.a, job.b, job.d, job.h)
-        ):
-            return None
         span = sum(map(abs, a)) + sum(map(abs, ab)) + max(map(abs, d))
         if self.n * span >= 2**62 or max(map(abs, h)) >= 2**62:
             return None
@@ -138,17 +127,6 @@ def _check_permutation(instance: Instance, sequence: Sequence[int]) -> None:
         )
 
 
-def actual_processing_time(job: Job, start: int) -> int:
-    """Processing time incurred when the job begins at ``start``.
-
-    The deterioration boundary is inclusive: starting exactly at h_j still
-    takes only the basic time.
-    """
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    return job.a if start <= job.h else job.a + job.b
-
-
 def evaluate_schedule(instance: Instance, sequence: Sequence[int]) -> ScheduleResult:
     """Schedule the sequence with no idle time and report all timings.
 
@@ -196,11 +174,11 @@ def total_tardiness(instance: Instance, sequence: Sequence[int]) -> int:
     return total
 
 
-def validate_instance(instance: Instance) -> list[str]:
-    """Check all Job and Instance invariants; each violation is one message.
+def _validate_instance(instance: Instance) -> list[str]:
+    """Every violated Job and Instance invariant, one message each.
 
-    An empty report means the instance is valid.  Never raises: the report
-    is the payload.
+    ``Instance.__post_init__`` raises on a non-empty report, so no solver
+    ever sees an instance that breaks one.
     """
     report = []
     n = instance.n
@@ -301,15 +279,13 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    """Read an instance file; bad JSON, a missing key, a wrong type and every
-    ``validate_instance`` violation raise one ValueError naming the path."""
+    """Read an instance file; bad JSON, a missing key, a wrong type and an
+    invalid instance raise one ValueError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            instance = instance_from_json(fh.read())
-    except (KeyError, TypeError, ValueError) as exc:
+            return instance_from_json(fh.read())
+    except (KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: malformed instance ({what})") from None
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError(f"{path}: invalid instance: {'; '.join(problems)}")
-    return instance
+    except ValueError as exc:  # the construction's "invalid instance: ..."
+        raise ValueError(f"{path}: {exc}") from None

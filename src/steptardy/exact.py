@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .core import Instance, validate_instance
+from .core import Instance, total_tardiness
 
 DEFAULT_BRUTE_FORCE_CAP = 10
 BRANCH_AND_BOUND_CAP = 12
@@ -77,14 +77,7 @@ def prefix_lower_bound(instance: Instance, partial: Sequence[int]) -> int:
     n = instance.n
     if len(set(partial)) != len(partial) or not all(1 <= j <= n for j in partial):
         raise ValueError(f"partial {list(partial)} is not a duplicate-free prefix of 1..{n}")
-    a, ab, d, h = instance._columns
-    c = 0
-    tot = 0
-    for j in partial:
-        c += a[j] if c <= h[j] else ab[j]
-        if c > d[j]:
-            tot += c - d[j]
-    return tot
+    return total_tardiness(instance, partial)
 
 
 def branch_and_bound(instance: Instance) -> OptimalResult:
@@ -96,15 +89,11 @@ def branch_and_bound(instance: Instance) -> OptimalResult:
     label beats on both C and T, one per equal (C, T).  With every b >= 0 a
     later start never makes a job shorter or less tardy, so a dominated
     label never completes to a better schedule.  ``nodes_explored`` counts
-    the labels kept.  Refuses n above ``BRANCH_AND_BOUND_CAP`` and any
-    instance that ``validate_instance`` rejects.
+    the labels kept.  Refuses n above ``BRANCH_AND_BOUND_CAP``.
     """
-    problems = validate_instance(instance)
     n = instance.n
     if n > BRANCH_AND_BOUND_CAP:
-        problems.append(f"n={n} exceeds cap {BRANCH_AND_BOUND_CAP}")
-    if problems:
-        raise ValueError(f"branch and bound refused: {'; '.join(problems)}")
+        raise ValueError(f"branch and bound refused: n={n} exceeds cap {BRANCH_AND_BOUND_CAP}")
     a, ab, d, h = instance._columns
     jobs = [(1 << (j - 1), j) for j in range(1, n + 1)]
     full = (1 << n) - 1

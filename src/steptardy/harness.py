@@ -1,5 +1,6 @@
 """Experiment orchestration: metrics, benchmark runs and CSV reporting.
 
+``METHODS`` is the one list of method names, for ``bench`` and ``solve``.
 A benchmark runs a set of methods over a set of instances.  Deterministic
 methods (exact enumeration, branch and bound, the weighted search
 procedure) run once per instance; stochastic methods (vns, gvns) run R
@@ -12,7 +13,9 @@ a fixed header, so reports are byte-stable apart from the measured wall
 times (which ``zero_time`` pins to zero).
 
 Per-row failures (missing files, size caps, validation mismatches) are
-collected as error strings and never abort the batch.
+collected as error strings and never abort the batch.  Each solver is
+looked up as a module global at call time, so a caller may wrap one with
+``setattr`` to time it.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ from dataclasses import dataclass, field
 from statistics import mean as _mean
 
 from .core import Instance, evaluate_schedule, load_instance
-from .exact import BRANCH_AND_BOUND_CAP, branch_and_bound, brute_force
+from .exact import branch_and_bound, brute_force
 from .generator import generate_suite
 from .metaheuristics import SearchParams, gvns, vns
 from .swsp import swsp
 
 METHODS = ("bb", "exact", "gvns", "swsp", "vns")
-DETERMINISTIC_METHODS = frozenset({"bb", "exact", "swsp"})
-SIZE_CAPS = {"exact": 10, "bb": BRANCH_AND_BOUND_CAP}
 CSV_HEADER = "group,n,method,best,mean,rpd_pct,mad_pct,time_s"
 
 _GROUP_RE = re.compile(r"^(S_\d\d)_n\d+_s\d+$")
@@ -61,21 +62,40 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
         if not self.instances and not self.gen_sizes:
             raise ValueError("config needs instance paths or generation sizes")
+        SearchParams(iter_max=self.iter_max, iter_nip=self.iter_nip)  # raises once, not per cell
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """The config of a JSON file (format in README.md).  A non-object, a
+        field of the wrong type or a string where a list belongs raises one
+        ValueError."""
         raw = json.loads(text)
-        gen = raw.get("generate") or {}
+        gen = (raw.get("generate") or {}) if isinstance(raw, dict) else None
+        if not isinstance(gen, dict):
+            raise ValueError("a config and its 'generate' entry must be JSON objects")
+
+        def take(obj, key, kind, default):
+            value = obj.get(key, default)
+            listed = isinstance(default, tuple)
+            items = value if listed else (value,)
+            # bool is an int subclass, but true is no count
+            if not isinstance(items, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, kind) for v in items
+            ):
+                what = f"a list of {kind.__name__}" if listed else kind.__name__
+                raise ValueError(f"config field {key!r} must be {what} (got {value!r})")
+            return tuple(items) if listed else value
+
         return cls(
-            instances=tuple(raw.get("instances", ())),
-            gen_sizes=tuple(gen.get("sizes", ())),
-            gen_seed=gen.get("seed", 0),
-            methods=tuple(raw.get("methods", ("gvns",))),
-            replications=raw.get("replications", 10),
-            seed=raw.get("seed", 0),
-            output=raw.get("output", ""),
-            iter_max=raw.get("iter_max", 500),
-            iter_nip=raw.get("iter_nip", 150),
+            instances=take(raw, "instances", str, ()),
+            gen_sizes=take(gen, "sizes", int, ()),
+            gen_seed=take(gen, "seed", int, 0),
+            methods=take(raw, "methods", str, ("gvns",)),
+            replications=take(raw, "replications", int, 10),
+            seed=take(raw, "seed", int, 0),
+            output=take(raw, "output", str, ""),
+            iter_max=take(raw, "iter_max", int, 500),
+            iter_nip=take(raw, "iter_nip", int, 150),
         )
 
 
@@ -135,34 +155,21 @@ def group_of(instance: Instance) -> str:
 
 
 def _run_cell(instance: Instance, method: str, config: ExperimentConfig):
-    """All replication (value, sequence, seconds) triples for one cell."""
-    cap = SIZE_CAPS.get(method)
-    if cap is not None and instance.n > cap:
-        raise ValueError(f"method {method} is capped at n <= {cap}, instance has n={instance.n}")
+    """All replication (value, sequence, seconds) triples for one cell; an
+    exact solver refuses n above its size cap with a ValueError."""
     runs = []
-    if method in DETERMINISTIC_METHODS:
+    for r in range(config.replications if method in ("gvns", "vns") else 1):
         t0 = time.perf_counter()
         if method == "exact":
             res = brute_force(instance)
-            value, seq = res.best_value, res.best_sequence
         elif method == "bb":
             res = branch_and_bound(instance)
-            value, seq = res.best_value, res.best_sequence
+        elif method == "swsp":
+            res = swsp(instance)
         else:
-            run = swsp(instance)
-            value, seq = run.best_value, run.best_sequence
-        runs.append((value, seq, time.perf_counter() - t0))
-    else:
-        solver = gvns if method == "gvns" else vns
-        for r in range(config.replications):
-            params = SearchParams(
-                iter_max=config.iter_max,
-                iter_nip=config.iter_nip,
-                seed=config.seed + r,
-            )
-            t0 = time.perf_counter()
-            run = solver(instance, params)
-            runs.append((run.best_value, run.best_sequence, time.perf_counter() - t0))
+            params = SearchParams(config.iter_max, config.iter_nip, seed=config.seed + r)
+            res = (gvns if method == "gvns" else vns)(instance, params)
+        runs.append((res.best_value, res.best_sequence, time.perf_counter() - t0))
     for value, seq, _ in runs:
         check = evaluate_schedule(instance, seq).total
         if check != value:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, ScheduleResult, validate_instance
+from .core import Instance, ScheduleResult
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,11 @@ class MilpModel:
 
 def big_m(instance: Instance) -> int:
     """The deactivation constant: max due date plus total deteriorated work."""
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
     return max(j.d for j in instance.jobs) + sum(j.a + j.b for j in instance.jobs)
 
 
 def build_model(instance: Instance) -> MilpModel:
     """Construct the full model with deterministic variable and row order."""
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
     n = instance.n
     jobs = {job.id: job for job in instance.jobs}
     m = big_m(instance)

@@ -141,16 +141,15 @@ def _pairwise_swap_pass_kernel(rows: bytes, sequence: Sequence[int]) -> list[int
 
 def _pairwise_swap_pass_python(instance: Instance, sequence: Sequence[int]) -> list[int]:
     """``pairwise_swap_pass`` in Python: the reference and the fallback."""
-    a, ab, d, h = instance._columns
     n = instance.n
     seq = list(sequence)
-    best = _total(seq, a, ab, d, h)
+    best = total_tardiness(instance, seq)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             seq[i], seq[j] = seq[j], seq[i]
-            val = _total(seq, a, ab, d, h)
+            val = total_tardiness(instance, seq)
             if val < best:
                 best = val
             else:
@@ -189,13 +188,12 @@ def _weighted_search_python(
     instance: Instance, grid: list[WeightTriple]
 ) -> tuple[list[int], int, list[int]]:
     """``weighted_search`` in Python: the reference and the fallback."""
-    a, ab, d, h = instance._columns
     best_seq: list[int] | None = None
     best_val: int | None = None
     trace = []
     for triple in grid:
         seq = greedy_construct(instance, triple)
-        val = _total(seq, a, ab, d, h)
+        val = total_tardiness(instance, seq)
         if best_val is None or val < best_val:
             best_seq, best_val = seq, val
         trace.append(best_val)
@@ -230,13 +228,3 @@ def swsp(instance: Instance, params: SwspParams = SwspParams()) -> RunResult:
         seed=None,
         trace=tuple(trace),
     )
-
-
-def _total(seq, a, ab, d, h) -> int:
-    c = 0
-    tot = 0
-    for j in seq:
-        c += a[j] if c <= h[j] else ab[j]
-        if c > d[j]:
-            tot += c - d[j]
-    return tot

@@ -210,6 +210,26 @@ class TestBench:
         assert f"error: {bad}: invalid instance: name must be a string" in err
         assert len((tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            json.dumps({"generate": {"sizes": [8]}, "replications": "3"}),
+            json.dumps({"generate": {"sizes": [8]}, "iter_max": "x"}),
+            json.dumps({"instances": "foo.json"}),
+            json.dumps({"generate": {"sizes": [8]}, "iter_max": 10, "iter_nip": 20}),
+        ],
+        ids=["top-level-list", "string-replications", "string-iter-max", "string-instances",
+             "iter-nip-above-iter-max"],
+    )
+    def test_malformed_config_fails_cleanly(self, capsys, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestExportMilp:
     def test_matches_library_export(self, capsys, demo8_path, demo8):

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 from itertools import permutations
@@ -9,43 +10,15 @@ from hypothesis import strategies as st
 from steptardy import (
     Instance,
     Job,
-    actual_processing_time,
     brute_force,
     check_dominance,
     evaluate_schedule,
     instance_from_json,
     instance_to_json,
     total_tardiness,
-    validate_instance,
 )
 
 from conftest import instances, instances_with_sequence, make_instance
-
-
-class TestActualProcessingTime:
-    def test_deteriorated_start(self):
-        job = Job(id=8, a=80, b=28, d=93, h=85)
-        assert actual_processing_time(job, 302) == 108
-
-    def test_start_zero_is_always_basic(self):
-        job = Job(id=3, a=45, b=41, d=114, h=91)
-        assert actual_processing_time(job, 0) == 45
-
-    def test_boundary_is_inclusive(self):
-        job = Job(id=1, a=10, b=5, d=0, h=7)
-        assert actual_processing_time(job, 7) == 10
-        assert actual_processing_time(job, 8) == 15
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            actual_processing_time(Job(id=1, a=1, b=0, d=0, h=0), -1)
-
-    @given(instances(min_n=1, max_n=1), st.integers(0, 500))
-    def test_two_values_nondecreasing(self, instance, start):
-        job = instance.jobs[0]
-        p = actual_processing_time(job, start)
-        assert p in (job.a, job.a + job.b)
-        assert actual_processing_time(job, start + 1) >= p
 
 
 class TestEvaluateSchedule:
@@ -108,26 +81,65 @@ class TestEvaluateSchedule:
         )
 
 
+def invalid(jobs, name=""):
+    """The one message of the ValueError that building this instance raises."""
+    with pytest.raises(ValueError) as exc:
+        Instance(jobs=jobs, name=name)
+    message = str(exc.value)
+    assert message.startswith("invalid instance: ")
+    return message.removeprefix("invalid instance: ").split("; ")
+
+
 class TestValidateInstance:
+    """Construction checks every invariant and names each violation."""
+
     def test_reference_instance_valid(self, demo8):
-        assert validate_instance(demo8) == []
+        assert Instance(jobs=demo8.jobs, name="demo8") == demo8
 
     def test_duplicate_id(self):
         jobs = (Job(id=3, a=1, b=0, d=0, h=0), Job(id=3, a=2, b=0, d=0, h=0))
-        report = validate_instance(Instance(jobs=jobs))
-        assert any("duplicate" in line for line in report)
+        assert invalid(jobs) == [
+            "job 3: duplicate id", "missing job ids: [1, 2]", "job ids out of range 1..2: [3]"
+        ]
 
     def test_zero_basic_time(self):
-        report = validate_instance(Instance(jobs=(Job(id=1, a=0, b=0, d=0, h=0),)))
-        assert any("a must be >= 1" in line for line in report)
+        assert invalid((Job(id=1, a=0, b=0, d=0, h=0),)) == ["job 1: a must be >= 1 (got 0)"]
 
     def test_negative_fields(self):
-        report = validate_instance(Instance(jobs=(Job(id=1, a=1, b=-1, d=-2, h=-3),)))
-        assert len(report) == 3
+        assert invalid((Job(id=1, a=1, b=-1, d=-2, h=-3),)) == [
+            "job 1: b must be >= 0 (got -1)",
+            "job 1: d must be >= 0 (got -2)",
+            "job 1: h must be >= 0 (got -3)",
+        ]
 
     def test_missing_ids(self):
-        report = validate_instance(Instance(jobs=(Job(id=2, a=1, b=0, d=0, h=0),)))
-        assert any("missing" in line for line in report)
+        assert invalid((Job(id=2, a=1, b=0, d=0, h=0),)) == [
+            "missing job ids: [1]", "job ids out of range 1..1: [2]"
+        ]
+
+    @pytest.mark.parametrize(
+        "jobs, name, messages",
+        [
+            ((Job(id=1, a=2.5, b=0, d=0, h=0),), "", ["job 1: a must be an integer (got 2.5)"]),
+            ((Job(id=1, a=1, b=True, d=0, h=0),), "", ["job 1: b must be an integer (got True)"]),
+            ((Job(id="1", a=1, b=0, d=0, h=0),), "",
+             ["job '1': id must be an integer (got '1')", "missing job ids: [1]"]),
+            ((), "", ["instance must contain at least one job"]),
+            ((Job(id=1, a=1, b=0, d=0, h=0),), 5, ["name must be a string (got 5)"]),
+        ],
+        ids=["float-a", "bool-b", "string-id", "empty", "int-name"],
+    )
+    def test_type_violations(self, jobs, name, messages):
+        assert invalid(jobs, name) == messages
+
+    def test_invalid_json_payload_refused(self, demo8):
+        text = instance_to_json(demo8).replace('"b": 41', '"b": -41')
+        with pytest.raises(ValueError, match="job 3: b must be >= 0"):
+            instance_from_json(text)
+
+    def test_replace_revalidates(self, demo8):
+        with pytest.raises(ValueError, match="name must be a string"):
+            dataclasses.replace(demo8, name=5)
 
 
 class TestCheckDominance:
@@ -207,9 +219,8 @@ class TestInstanceColumns:
         assert clone == demo8 and clone._columns == demo8._columns
 
     def test_bad_ids_rejected(self):
-        instance = Instance(jobs=(Job(id=1, a=1, b=0, d=0, h=0), Job(id=3, a=1, b=0, d=0, h=0)))
-        with pytest.raises(ValueError, match="exactly 1..2"):
-            total_tardiness(instance, [1, 3])
+        with pytest.raises(ValueError, match="missing job ids: \\[2\\]"):
+            Instance(jobs=(Job(id=1, a=1, b=0, d=0, h=0), Job(id=3, a=1, b=0, d=0, h=0)))
 
 
 @settings(max_examples=30)

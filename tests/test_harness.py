@@ -6,6 +6,7 @@ import pytest
 from steptardy import (
     ExperimentConfig,
     RunResult,
+    SearchParams,
     mad,
     rpd,
     run_benchmark,
@@ -163,6 +164,37 @@ class TestRunBenchmark:
         assert len(report.rows) == 12
         keys = [(row.group, row.n, row.method) for row in report.rows]
         assert keys == sorted(keys)
+
+    def test_solvers_called_through_module_globals(self, demo8, demo8_path, monkeypatch):
+        """Each solver is looked up on the module at call time and called with
+        the instance alone, or the instance and its SearchParams for gvns/vns:
+        code that times solves by replacing these attributes relies on it."""
+        calls = []
+
+        def recorder(name):
+            real = getattr(harness, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return real(*args, **kwargs)
+
+            return record
+
+        for name in ("brute_force", "branch_and_bound", "swsp", "gvns", "vns"):
+            monkeypatch.setattr(harness, name, recorder(name))
+        config = ExperimentConfig(
+            instances=(str(demo8_path),), methods=harness.METHODS, replications=2, seed=3,
+            iter_max=20, iter_nip=10,
+        )
+        assert run_benchmark(config).errors == []
+        params = [SearchParams(iter_max=20, iter_nip=10, seed=seed) for seed in (3, 4)]
+        assert calls == [
+            ("branch_and_bound", (demo8,), {}),
+            ("brute_force", (demo8,), {}),
+            *[("gvns", (demo8, p), {}) for p in params],
+            ("swsp", (demo8,), {}),
+            *[("vns", (demo8, p), {}) for p in params],
+        ]
 
     def test_reported_values_revalidated(self, demo8_path, monkeypatch):
         def lying_swsp(instance, params=None):

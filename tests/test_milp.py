@@ -60,8 +60,8 @@ class TestBigM:
         assert big_m(make_instance([(1, 1, 5, 0), (1, 1, 5, 0)])) == 9
 
     def test_invalid_instance_rejected(self):
-        with pytest.raises(ValueError):
-            big_m(Instance(jobs=(Job(id=1, a=0, b=0, d=0, h=0),)))
+        with pytest.raises(ValueError, match="invalid instance"):
+            Instance(jobs=(Job(id=1, a=0, b=0, d=0, h=0),))
 
 
 class TestBuildModel:
@@ -90,8 +90,8 @@ class TestBuildModel:
         assert len(pair) == 28
 
     def test_invalid_instance_rejected(self):
-        with pytest.raises(ValueError):
-            build_model(Instance(jobs=(Job(id=2, a=1, b=0, d=0, h=0),)))
+        with pytest.raises(ValueError, match="invalid instance"):
+            Instance(jobs=(Job(id=2, a=1, b=0, d=0, h=0),))
 
     def test_reference_schedule_is_feasible_with_matching_objective(self, demo8):
         model = build_model(demo8)
