@@ -1,19 +1,31 @@
 /* The hot loops of steptardy, in int64, loaded with ctypes.
 
-   Line-for-line ports of the Python references:
-   - neighborhoods.py: _prefix_state, _tail_eval, the five _scan_* functions
-     and descend's fixpoint loop.  Moves are scanned in the same canonical
-     order with the same bail-outs, so every descent accepts the same first
-     improving move and returns the same sequence as the Python scanners.
-   - swsp.py: weighted_search (with greedy_construct and _total) and
-     pairwise_swap_pass.  The greedy scores are the same double expression,
-     w1*d + w2*p + w3*h evaluated left to right from the weights Python
-     computed, so every comparison and tie-break matches.  The build passes
-     -ffp-contract=off: a fused multiply-add would round differently.
+   - Local search: steptardy_descend runs a first-improvement descent to a
+     fixpoint of one of the five neighbourhoods.  The definition, and the
+     reference these scans are tested against, is in neighborhoods.py:
+     _moves lists the moves (i, j) in canonical order, _apply makes one, and
+     _descend_python accepts the first move that strictly lowers the total
+     tardiness and repeats until none does.  The scans below visit the same
+     moves in the same order but skip candidates that provably cannot beat
+     the incumbent (see tail_eval and scan_insertion), so they accept the
+     same first improving move and return the same sequence.
+   - SWSP: line-for-line ports of swsp.py's weighted_search (with
+     greedy_construct and _total) and pairwise_swap_pass.  The greedy scores
+     are the same double expression, w1*d + w2*p + w3*h evaluated left to
+     right from the weights Python computed, so every comparison and
+     tie-break matches.  The build passes -ffp-contract=off: a fused
+     multiply-add would round differently.
 
    Jobs are rows (a, a + b, d, h) indexed by job id; row 0 is unused.  The
-   caller guarantees that seq is a permutation of 1..n and that no
-   completion time or tardiness sum can overflow int64.
+   caller guarantees that seq is a permutation of 1..n, that b >= 0 for
+   every job (Instance refuses b < 0) and that no completion time or
+   tardiness sum can overflow int64.
+
+   Every pruning rule rests on two facts.  Tardiness terms are never
+   negative, so a candidate whose running tardiness reaches the incumbent
+   total is no improvement, whatever follows.  And since b >= 0, a job that
+   starts later never finishes earlier: its processing time can only grow,
+   from a to a + b, as its start passes h.
 
    Built and loaded by neighborhoods.py on first import.  */
 
@@ -61,8 +73,16 @@ static inline int start(const job_t *J, i64 x, i64 c0, i64 t0, i64 *c, i64 *t, i
     return *t >= total;
 }
 
-/* Finish a candidate over the unchanged positions k..n-1: its total when
-   it strictly beats total, else -1.  See _tail_eval.  */
+/* Finish a candidate over the unchanged positions k..n-1, entered at
+   completion time c with tardiness t: its total when it strictly beats
+   total, else -1.  C and TS are the incumbent's completion and tardiness
+   prefixes.
+   - c == C[k]: every tail job starts exactly as in the incumbent, so the
+     tail adds the incumbent's TS[n] - TS[k].  The walk stops on the same
+     resynchronisation.
+   - c > C[k]: each tail job starts no earlier than in the incumbent, so by
+     b >= 0 it finishes no earlier and the tail adds at least
+     TS[n] - TS[k]; when that already reaches total, the walk is skipped.  */
 static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS,
                      i64 k, i64 c, i64 t, i64 total, i64 n)
 {
@@ -131,7 +151,10 @@ static int scan_insertion(i64 *seq, const job_t *J, const i64 *C, const i64 *TS,
                 return 1;
             }
         }
-        /* targets after i share the window prefix seq[i+1..j] */
+        /* Targets after i share the window prefix seq[i+1..j], started at
+           C[i]: one running state serves the row.  Every later target
+           keeps that prefix and its tardiness, so once it reaches total no
+           later target can improve and the row ends.  */
         i64 c_run = C[i], t_run = TS[i];
         for (i64 j = i + 1; j < n; j++) {
             i64 c, t;
@@ -194,7 +217,8 @@ static int scan_couple_insertion(i64 *seq, const job_t *J, const i64 *C, const i
                 return 1;
             }
         }
-        /* targets after i share the window prefix seq[i+2..j+1] */
+        /* targets after i share the window prefix seq[i+2..j+1]; the row
+           ends for the same reason as in scan_insertion */
         i64 c_run = C[i], t_run = TS[i];
         for (i64 j = i + 1; j < n - 1; j++) {
             i64 c, t;

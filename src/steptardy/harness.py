@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import mean as _mean
 
 from .core import Instance, evaluate_schedule, load_instance
@@ -37,10 +37,22 @@ CSV_HEADER = "group,n,method,best,mean,rpd_pct,mad_pct,time_s"
 
 _GROUP_RE = re.compile(r"^(S_\d\d)_n\d+_s\d+$")
 
+# the type of each ExperimentConfig field, or of its items when its default
+# is a tuple
+_FIELD_TYPES = {
+    "instances": str, "gen_sizes": int, "gen_seed": int, "methods": str, "replications": int,
+    "seed": int, "output": str, "iter_max": int, "iter_nip": int,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What to run: instance files and/or a generated suite, methods, seeds."""
+    """What to run: instance files and/or a generated suite, methods, seeds.
+
+    Construction raises a ValueError for a field of the wrong type and for
+    any other invalid setting; a list field takes a list or a tuple and
+    keeps a tuple.
+    """
 
     instances: tuple[str, ...] = ()
     gen_sizes: tuple[int, ...] = ()
@@ -53,6 +65,19 @@ class ExperimentConfig:
     iter_nip: int = 150
 
     def __post_init__(self):
+        for spec in fields(self):
+            name, kind = spec.name, _FIELD_TYPES[spec.name]
+            value = getattr(self, name)
+            listed = isinstance(spec.default, tuple)
+            items = value if listed else (value,)
+            # bool is an int subclass, but true is no count
+            if not isinstance(items, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, kind) for v in items
+            ):
+                what = f"a list of {kind.__name__}" if listed else kind.__name__
+                raise ValueError(f"config field {name!r} must be {what} (got {value!r})")
+            if listed:
+                object.__setattr__(self, name, tuple(value))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not self.methods:
@@ -68,35 +93,18 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         """The config of a JSON file (format in README.md).  A non-object, a
         field of the wrong type or a string where a list belongs raises one
-        ValueError."""
+        ValueError; an absent field takes its default."""
         raw = json.loads(text)
         gen = (raw.get("generate") or {}) if isinstance(raw, dict) else None
         if not isinstance(gen, dict):
             raise ValueError("a config and its 'generate' entry must be JSON objects")
-
-        def take(obj, key, kind, default):
-            value = obj.get(key, default)
-            listed = isinstance(default, tuple)
-            items = value if listed else (value,)
-            # bool is an int subclass, but true is no count
-            if not isinstance(items, (list, tuple)) or any(
-                isinstance(v, bool) or not isinstance(v, kind) for v in items
-            ):
-                what = f"a list of {kind.__name__}" if listed else kind.__name__
-                raise ValueError(f"config field {key!r} must be {what} (got {value!r})")
-            return tuple(items) if listed else value
-
-        return cls(
-            instances=take(raw, "instances", str, ()),
-            gen_sizes=take(gen, "sizes", int, ()),
-            gen_seed=take(gen, "seed", int, 0),
-            methods=take(raw, "methods", str, ("gvns",)),
-            replications=take(raw, "replications", int, 10),
-            seed=take(raw, "seed", int, 0),
-            output=take(raw, "output", str, ""),
-            iter_max=take(raw, "iter_max", int, 500),
-            iter_nip=take(raw, "iter_nip", int, 150),
-        )
+        given = {}
+        for key in _FIELD_TYPES:
+            # the generator's fields sit in "generate", without the prefix
+            obj, name = (gen, key[4:]) if key.startswith("gen_") else (raw, key)
+            if name in obj:
+                given[key] = obj[name]
+        return cls(**given)
 
 
 @dataclass(frozen=True)

@@ -13,21 +13,21 @@ neighborhood, ``shake`` applies a single uniformly random move, and
 ``perturb_three_opt`` cuts the sequence at three points and reorders the
 trailing fragments without reversing any of them.
 
-The scanners are the package's hot path and are written as flat loops over
-prefix sums of the incumbent: a candidate move re-simulates only its
-affected window, bails out as soon as the accumulated tardiness reaches the
-incumbent total, and hands the unchanged tail to ``_tail_eval`` which reads
-the remaining tardiness off the prefix sums once the completion time
-re-synchronizes.
+``_moves`` lists a neighborhood's moves in the canonical scan order and
+``_apply`` makes one; together they define every neighborhood.  A descent,
+by definition, takes the first move in that order whose result has a
+strictly lower total tardiness, and repeats until none has.
 
-``_kernel.c`` is a line-for-line int64 port of those scanners and of the
-descent loop, and of SWSP's weighted search and swap pass (see ``swsp``).
-On first import it is compiled with the C compiler Python was built with
-into this package's ``__pycache__``, under a name keyed by the hash of its
-source, the compile flags and the interpreter, and loaded with ctypes.
-``descend`` runs it whenever it loaded and the instance has integer values
-small enough for int64 (``Instance._int64_rows``); otherwise it runs the
-Python scanners, which stay the reference.  Both return the same sequence.
+``_kernel.c`` runs that descent in int64 with pruned scans that keep the
+same first improving move (its comments say why), and also SWSP's weighted
+search and swap pass (see ``swsp``).  On first import it is compiled with
+the C compiler Python was built with into this package's ``__pycache__``,
+under a name keyed by the hash of its source, the compile flags and the
+interpreter, and loaded with ctypes.  ``descend`` runs it whenever it
+loaded and the instance has integer values small enough for int64
+(``Instance._int64_rows``); otherwise it runs ``_descend_python``, the
+definition itself, which stays the reference.  Both return the same
+sequence.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from .core import Instance, _check_permutation
+from .core import Instance, _check_permutation, total_tardiness
 
 SWAP = 1
 INSERTION = 2
@@ -55,289 +55,44 @@ NEIGHBORHOOD_IDS = (SWAP, INSERTION, PAIR_EXCHANGE, COUPLE_INSERTION, TWO_OPT)
 _FRAGMENT_ORDERS = tuple(p for p in permutations((0, 1, 2)) if p != (0, 1, 2))
 
 
-def _prefix_state(seq, a, ab, d, h):
-    """Completion and cumulative-tardiness prefixes; index k covers k jobs."""
-    C = [0]
-    TS = [0]
-    c = 0
-    t = 0
-    for x in seq:
-        c += a[x] if c <= h[x] else ab[x]
-        if c > d[x]:
-            t += c - d[x]
-        C.append(c)
-        TS.append(t)
-    return C, TS
+def _moves(k: int, n: int) -> list[tuple[int, int]]:
+    """Every move (i, j) of neighborhood k on n jobs, in canonical scan order.
 
-
-def _tail_eval(seq, a, ab, d, h, C, TS, k, c, t, total, n):
-    """Finish a candidate over the unchanged positions k..n-1.
-
-    Returns the candidate total when it strictly beats ``total``, else -1.
-    Start times only push completions (and hence tardiness) later, so a
-    candidate entering the tail no earlier than the incumbent accrues at
-    least the incumbent's remaining tardiness: that bound settles almost
-    every candidate without walking the tail.
+    Positions are 0-based; ``_apply`` gives each move's meaning.  The list is
+    empty when n is too short for the neighborhood.
     """
-    if c >= C[k]:
-        if c == C[k]:
-            t += TS[n] - TS[k]
-            return t if t < total else -1
-        if t + TS[n] - TS[k] >= total:
-            return -1
-    while k < n:
-        x = seq[k]
-        c += a[x] if c <= h[x] else ab[x]
-        if c > d[x]:
-            t += c - d[x]
-            if t >= total:
-                return -1
-        k += 1
-        if c == C[k]:
-            t += TS[n] - TS[k]
-            break
-    return t if t < total else -1
+    if k == SWAP:
+        return [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    if k == INSERTION:
+        return [(i, j) for i in range(n) for j in range(n) if j != i]
+    if k == PAIR_EXCHANGE:
+        return [(i, j) for i in range(n - 3) for j in range(i + 2, n - 1)]
+    if k == COUPLE_INSERTION:
+        return [(i, j) for i in range(n - 1) for j in range(n - 1) if j != i]
+    return [(i, j) for i in range(n - 3) for j in range(i + 3, n)]
 
 
-def _scan_swap(seq, a, ab, d, h, C, TS, total):
-    n = len(seq)
-    for i in range(n - 1):
-        c0 = C[i]
-        t0 = TS[i]
-        xi = seq[i]
-        for j in range(i + 1, n):
-            xj = seq[j]
-            c = c0 + (a[xj] if c0 <= h[xj] else ab[xj])
-            t = t0 + (c - d[xj] if c > d[xj] else 0)
-            if t >= total:
-                continue
-            bail = False
-            for k in range(i + 1, j):
-                x = seq[k]
-                c += a[x] if c <= h[x] else ab[x]
-                if c > d[x]:
-                    t += c - d[x]
-                    if t >= total:
-                        bail = True
-                        break
-            if bail:
-                continue
-            c += a[xi] if c <= h[xi] else ab[xi]
-            if c > d[xi]:
-                t += c - d[xi]
-                if t >= total:
-                    continue
-            if _tail_eval(seq, a, ab, d, h, C, TS, j + 1, c, t, total, n) >= 0:
-                new = list(seq)
-                new[i], new[j] = new[j], new[i]
-                return new
-    return None
+def _apply(sequence: Sequence[int], k: int, i: int, j: int) -> list[int]:
+    """A copy of the sequence after move (i, j) of neighborhood k.
 
-
-def _scan_insertion(seq, a, ab, d, h, C, TS, total):
-    n = len(seq)
-    for i in range(n):
-        xi = seq[i]
-        a_xi = a[xi]
-        ab_xi = ab[xi]
-        d_xi = d[xi]
-        h_xi = h[xi]
-        for j in range(i):
-            c = C[j]
-            t = TS[j]
-            c += a_xi if c <= h_xi else ab_xi
-            if c > d_xi:
-                t += c - d_xi
-                if t >= total:
-                    continue
-            bail = False
-            for k in range(j, i):
-                x = seq[k]
-                c += a[x] if c <= h[x] else ab[x]
-                if c > d[x]:
-                    t += c - d[x]
-                    if t >= total:
-                        bail = True
-                        break
-            if bail:
-                continue
-            if _tail_eval(seq, a, ab, d, h, C, TS, i + 1, c, t, total, n) >= 0:
-                new = list(seq)
-                x = new.pop(i)
-                new.insert(j, x)
-                return new
-        # targets after i share the window prefix seq[i+1..j]; its tardiness
-        # only grows with j, so one running state serves the whole row
-        c_run = C[i]
-        t_run = TS[i]
-        for j in range(i + 1, n):
-            x = seq[j]
-            c_run += a[x] if c_run <= h[x] else ab[x]
-            if c_run > d[x]:
-                t_run += c_run - d[x]
-                if t_run >= total:
-                    break
-            c = c_run + (a_xi if c_run <= h_xi else ab_xi)
-            t = t_run + (c - d_xi if c > d_xi else 0)
-            if t >= total:
-                continue
-            if _tail_eval(seq, a, ab, d, h, C, TS, j + 1, c, t, total, n) >= 0:
-                new = list(seq)
-                x = new.pop(i)
-                new.insert(j, x)
-                return new
-    return None
-
-
-def _scan_pair_exchange(seq, a, ab, d, h, C, TS, total):
-    n = len(seq)
-    for i in range(n - 3):
-        c0 = C[i]
-        t0 = TS[i]
-        xi = seq[i]
-        xi1 = seq[i + 1]
-        for j in range(i + 2, n - 1):
-            xj = seq[j]
-            xj1 = seq[j + 1]
-            c = c0 + (a[xj] if c0 <= h[xj] else ab[xj])
-            t = t0 + (c - d[xj] if c > d[xj] else 0)
-            if t >= total:
-                continue
-            c += a[xj1] if c <= h[xj1] else ab[xj1]
-            if c > d[xj1]:
-                t += c - d[xj1]
-                if t >= total:
-                    continue
-            bail = False
-            for k in range(i + 2, j):
-                x = seq[k]
-                c += a[x] if c <= h[x] else ab[x]
-                if c > d[x]:
-                    t += c - d[x]
-                    if t >= total:
-                        bail = True
-                        break
-            if bail:
-                continue
-            c += a[xi] if c <= h[xi] else ab[xi]
-            if c > d[xi]:
-                t += c - d[xi]
-                if t >= total:
-                    continue
-            c += a[xi1] if c <= h[xi1] else ab[xi1]
-            if c > d[xi1]:
-                t += c - d[xi1]
-                if t >= total:
-                    continue
-            if _tail_eval(seq, a, ab, d, h, C, TS, j + 2, c, t, total, n) >= 0:
-                new = list(seq)
-                new[i], new[i + 1], new[j], new[j + 1] = (
-                    new[j],
-                    new[j + 1],
-                    new[i],
-                    new[i + 1],
-                )
-                return new
-    return None
-
-
-def _scan_couple_insertion(seq, a, ab, d, h, C, TS, total):
-    n = len(seq)
-    for i in range(n - 1):
-        xi = seq[i]
-        xi1 = seq[i + 1]
-        for j in range(i):
-            c = C[j]
-            t = TS[j]
-            c += a[xi] if c <= h[xi] else ab[xi]
-            if c > d[xi]:
-                t += c - d[xi]
-                if t >= total:
-                    continue
-            c += a[xi1] if c <= h[xi1] else ab[xi1]
-            if c > d[xi1]:
-                t += c - d[xi1]
-                if t >= total:
-                    continue
-            bail = False
-            for k in range(j, i):
-                x = seq[k]
-                c += a[x] if c <= h[x] else ab[x]
-                if c > d[x]:
-                    t += c - d[x]
-                    if t >= total:
-                        bail = True
-                        break
-            if bail:
-                continue
-            if _tail_eval(seq, a, ab, d, h, C, TS, i + 2, c, t, total, n) >= 0:
-                new = list(seq)
-                couple = new[i : i + 2]
-                del new[i : i + 2]
-                new[j:j] = couple
-                return new
-        # targets after i share the window prefix seq[i+2..j+1], carried the
-        # same way as in the insertion scan
-        c_run = C[i]
-        t_run = TS[i]
-        for j in range(i + 1, n - 1):
-            x = seq[j + 1]
-            c_run += a[x] if c_run <= h[x] else ab[x]
-            if c_run > d[x]:
-                t_run += c_run - d[x]
-                if t_run >= total:
-                    break
-            c = c_run + (a[xi] if c_run <= h[xi] else ab[xi])
-            t = t_run + (c - d[xi] if c > d[xi] else 0)
-            if t >= total:
-                continue
-            c += a[xi1] if c <= h[xi1] else ab[xi1]
-            if c > d[xi1]:
-                t += c - d[xi1]
-                if t >= total:
-                    continue
-            if _tail_eval(seq, a, ab, d, h, C, TS, j + 2, c, t, total, n) >= 0:
-                new = list(seq)
-                couple = new[i : i + 2]
-                del new[i : i + 2]
-                new[j:j] = couple
-                return new
-    return None
-
-
-def _scan_two_opt(seq, a, ab, d, h, C, TS, total):
-    n = len(seq)
-    for i in range(n - 3):
-        c0 = C[i + 1]
-        t0 = TS[i + 1]
-        for j in range(i + 3, n):
-            c = c0
-            t = t0
-            bail = False
-            for k in range(j, i, -1):
-                x = seq[k]
-                c += a[x] if c <= h[x] else ab[x]
-                if c > d[x]:
-                    t += c - d[x]
-                    if t >= total:
-                        bail = True
-                        break
-            if bail:
-                continue
-            if _tail_eval(seq, a, ab, d, h, C, TS, j + 1, c, t, total, n) >= 0:
-                new = list(seq)
-                new[i + 1 : j + 1] = new[i + 1 : j + 1][::-1]
-                return new
-    return None
-
-
-_SCANNERS = {
-    SWAP: _scan_swap,
-    INSERTION: _scan_insertion,
-    PAIR_EXCHANGE: _scan_pair_exchange,
-    COUPLE_INSERTION: _scan_couple_insertion,
-    TWO_OPT: _scan_two_opt,
-}
+    swap exchanges positions i and j; insertion moves the job at i to j;
+    pairwise exchange swaps the couples at i and j; couple insertion moves
+    the couple at i so that it starts at j; two-opt reverses i+1..j.
+    """
+    new = list(sequence)
+    if k == SWAP:
+        new[i], new[j] = new[j], new[i]
+    elif k == INSERTION:
+        new.insert(j, new.pop(i))
+    elif k == PAIR_EXCHANGE:
+        new[i], new[i + 1], new[j], new[j + 1] = new[j], new[j + 1], new[i], new[i + 1]
+    elif k == COUPLE_INSERTION:
+        couple = new[i : i + 2]
+        del new[i : i + 2]
+        new[j:j] = couple
+    else:  # TWO_OPT
+        new[i + 1 : j + 1] = new[i + 1 : j + 1][::-1]
+    return new
 
 
 _KERNEL_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
@@ -422,16 +177,19 @@ def _descend_kernel(rows: bytes, sequence: Sequence[int], k: int) -> list[int]:
 
 
 def _descend_python(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
-    """``descend`` in the Python scanners: the reference and the fallback."""
-    a, ab, d, h = instance._columns
+    """``descend`` by its definition: the reference and the fallback."""
     seq = list(sequence)
-    scan = _SCANNERS[k]
+    best = total_tardiness(instance, seq)
+    moves = _moves(k, len(seq))
     while True:
-        C, TS = _prefix_state(seq, a, ab, d, h)
-        improved = scan(seq, a, ab, d, h, C, TS, TS[-1])
-        if improved is None:
+        for i, j in moves:
+            new = _apply(seq, k, i, j)
+            value = total_tardiness(instance, new)
+            if value < best:
+                seq, best = new, value
+                break
+        else:
             return seq
-        seq = improved
 
 
 def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
@@ -465,9 +223,7 @@ def two_opt_move(sequence: Sequence[int], i: int, j: int) -> list[int]:
     lo, hi = min(i, j), max(i, j)
     if hi - lo < 3:
         raise ValueError("two-opt positions must be at least three apart")
-    new = list(sequence)
-    new[lo:hi] = new[lo:hi][::-1]
-    return new
+    return _apply(sequence, TWO_OPT, lo - 1, hi - 1)
 
 
 def shake(sequence: Sequence[int], k: int, rng: Random) -> list[int]:
@@ -478,45 +234,26 @@ def shake(sequence: Sequence[int], k: int, rng: Random) -> list[int]:
     """
     if k not in NEIGHBORHOOD_IDS:
         raise ValueError(f"unknown neighborhood {k}; expected one of {NEIGHBORHOOD_IDS}")
-    seq = list(sequence)
-    n = len(seq)
+    n = len(sequence)
     if k == SWAP:
         if n < 2:
-            return seq
+            return list(sequence)
         i, j = rng.sample(range(n), 2)
-        seq[i], seq[j] = seq[j], seq[i]
-    elif k == INSERTION:
-        if n < 2:
-            return seq
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
+    elif k in (INSERTION, COUPLE_INSERTION):
+        # a job or couple can start at any of m positions; draw two distinct
+        m = n if k == INSERTION else n - 1
+        if m < 2:
+            return list(sequence)
+        i = rng.randrange(m)
+        j = rng.randrange(m - 1)
         if j >= i:
             j += 1
-        x = seq.pop(i)
-        seq.insert(j, x)
-    elif k == PAIR_EXCHANGE:
-        if n < 4:
-            return seq
-        pairs = [(i, j) for i in range(n - 3) for j in range(i + 2, n - 1)]
-        i, j = rng.choice(pairs)
-        seq[i], seq[i + 1], seq[j], seq[j + 1] = seq[j], seq[j + 1], seq[i], seq[i + 1]
-    elif k == COUPLE_INSERTION:
-        if n < 3:
-            return seq
-        i = rng.randrange(n - 1)
-        j = rng.randrange(n - 2)
-        if j >= i:
-            j += 1
-        couple = seq[i : i + 2]
-        del seq[i : i + 2]
-        seq[j:j] = couple
-    else:  # TWO_OPT
-        if n < 4:
-            return seq
-        pairs = [(i, j) for i in range(n - 3) for j in range(i + 3, n)]
-        i, j = rng.choice(pairs)
-        seq[i + 1 : j + 1] = seq[i + 1 : j + 1][::-1]
-    return seq
+    else:  # PAIR_EXCHANGE, TWO_OPT
+        moves = _moves(k, n)
+        if not moves:
+            return list(sequence)
+        i, j = rng.choice(moves)
+    return _apply(sequence, k, i, j)
 
 
 def reassemble_fragments(

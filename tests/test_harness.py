@@ -80,6 +80,14 @@ class TestExperimentConfig:
             {"instances": ("x.json",), "methods": ("magic",)},
             {"instances": ("x.json",), "replications": 0},
             {},
+            # wrong types, refused in code as in JSON; a string is no list
+            # of paths, though it iterates as one
+            {"instances": "ab.json", "methods": ("swsp",)},
+            {"gen_sizes": (8,), "methods": "swsp"},
+            {"gen_sizes": (8,), "replications": True},
+            {"gen_sizes": (8.0,)},
+            {"gen_sizes": (8,), "seed": "0"},
+            {"gen_sizes": (8,), "output": None},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -3,9 +3,9 @@
 ``descend``, SWSP's ``weighted_search`` and ``pairwise_swap_pass`` run
 ``_kernel.c`` when it built and the instance fits int64, and their Python
 code otherwise.  The two must return the same result for every input.  A
-kernel that silently failed to build would make every search some 40x
-slower, so its absence is a failure wherever a C compiler exists, and so
-is a compiler warning in it.
+kernel that silently failed to build would make every search some 70-100x
+slower (a default GVNS run at n=25 and n=50 on one core), so its absence is
+a failure wherever a C compiler exists, and so is a compiler warning in it.
 """
 
 import importlib
@@ -79,7 +79,7 @@ def _both(instance, seq, k):
 def test_parity_on_generated_instances(n):
     rng = random.Random(n)
     suite = generate_suite([n], 0)
-    # the Python reference needs ~0.5 s per descent from a random n=50 start
+    # the Python reference needs ~1.8 s per descent from a random n=50 start
     instances, starts = (suite[::3], 1) if n == 50 else (suite, 3)
     for instance in instances:
         for k in NEIGHBORHOOD_IDS:

@@ -1,5 +1,7 @@
+import contextlib
 import random
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from steptardy import (
     total_tardiness,
     two_opt_move,
 )
+from steptardy import neighborhoods
 from steptardy.neighborhoods import reassemble_fragments
 
 from conftest import instances_with_sequence, make_instance, random_instance
@@ -99,16 +102,29 @@ class TestTwoOptMove:
             assert two_opt_move(two_opt_move(seq, i, j), i, j) == list(seq)
 
 
+def descend_path(path):
+    """A context in which ``descend`` runs the C kernel, where it loaded, or
+    the Python fallback."""
+    if path == "python":
+        return mock.patch.object(neighborhoods, "_kernel", None)
+    return contextlib.nullcontext()
+
+
+both_paths = pytest.mark.parametrize("path", ["kernel", "python"])
+
+
 class TestDescend:
-    def test_matches_naive_reference(self):
+    @both_paths
+    def test_matches_naive_reference(self, path):
         rng = random.Random(99)
-        for _ in range(60):
-            n = rng.randint(2, 8)
-            instance = random_instance(rng, n)
-            seq = list(range(1, n + 1))
-            rng.shuffle(seq)
-            for k in NEIGHBORHOOD_IDS:
-                assert descend(instance, seq, k) == naive_descend(instance, seq, k)
+        with descend_path(path):
+            for _ in range(60):
+                n = rng.randint(2, 8)
+                instance = random_instance(rng, n)
+                seq = list(range(1, n + 1))
+                rng.shuffle(seq)
+                for k in NEIGHBORHOOD_IDS:
+                    assert descend(instance, seq, k) == naive_descend(instance, seq, k)
 
     def test_fixpoint_returned_unchanged(self, demo8):
         for k in NEIGHBORHOOD_IDS:
@@ -127,11 +143,13 @@ class TestDescend:
         with pytest.raises(ValueError):
             descend(demo8, [1, 2, 3, 4, 5, 6, 7, 8], 6)
 
+    @both_paths
     @settings(max_examples=40, deadline=None)
     @given(instances_with_sequence(min_n=2, max_n=8), st.sampled_from(NEIGHBORHOOD_IDS))
-    def test_descends_to_a_local_optimum(self, case, k):
+    def test_descends_to_a_local_optimum(self, path, case, k):
         instance, seq = case
-        out = descend(instance, seq, k)
+        with descend_path(path):
+            out = descend(instance, seq, k)
         value = total_tardiness(instance, out)
         assert sorted(out) == sorted(seq)
         assert value <= total_tardiness(instance, seq)
