@@ -38,7 +38,7 @@ from .neighborhoods import (
     shake,
     two_opt_move,
 )
-from .swsp import SwspParams, WeightTriple, greedy_construct, pairwise_swap_pass, swsp, weight_grid
+from .swsp import WeightTriple, greedy_construct, pairwise_swap_pass, swsp, weight_grid
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "RunResult",
     "ScheduleResult",
     "SearchParams",
-    "SwspParams",
     "WeightTriple",
     "big_m",
     "branch_and_bound",

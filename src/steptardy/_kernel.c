@@ -337,7 +337,7 @@ static void greedy_construct(const job_t *J, i64 n, const double *w, i64 *seq, i
     }
 }
 
-/* weighted_search over the m triples of grid (w1, w2, w3 each), n >= 2:
+/* weighted_search over the m triples of grid (w1, w2, w3 each), n >= 1:
    best_seq gets the first sequence that reaches the best total, trace[t]
    the best total after triple t.  Returns 0, or -1 when out of memory.  */
 int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)

@@ -9,7 +9,10 @@ Subcommands:
 
 All results go to stdout (or the requested output file); wall-clock timings
 and diagnostics go to stderr, so stdout is byte-identical across repeated
-invocations with the same flags and seeds.
+invocations with the same flags and seeds.  ``solve`` takes a method, a
+seed and the vns/gvns stopping rule.  The SWSP weight grid and the GVNS
+neighborhoods and perturbation trigger are the paper's, and they and the
+exact solvers' size caps are constants of the library.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ import sys
 import time
 
 from .core import evaluate_schedule, instance_to_json, load_instance
-from .exact import DEFAULT_BRUTE_FORCE_CAP, branch_and_bound, brute_force
+from .exact import branch_and_bound, brute_force
 from .generator import GenSpec, generate_instance
 from .harness import METHODS, ExperimentConfig, render_markdown, run_benchmark
 from .metaheuristics import SearchParams, gvns, vns
 from .milp import build_model, export_lp
-from .swsp import SwspParams, swsp
+from .swsp import swsp
 
 
 def _parse_sequence(text: str) -> list[int]:
@@ -67,26 +70,16 @@ def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     t0 = time.perf_counter()
     if args.method == "exact":
-        res = brute_force(instance, n_cap=args.brute_cap)
+        res = brute_force(instance)
         extra = [f"optima {res.optimal_set_size}"]
     elif args.method == "bb":
         res = branch_and_bound(instance)
         extra = [f"labels {res.nodes_explored}", f"proven {str(res.proven).lower()}"]
     elif args.method == "swsp":
-        params = SwspParams(
-            w1_min=args.w1_min,
-            w1_max=args.w1_max,
-            w2_min=args.w2_min,
-            w2_max=args.w2_max,
-            w3_fallback=args.w3_fallback,
-            swap_until_fixpoint=args.swap_until_fixpoint,
-        )
-        res = swsp(instance, params)
+        res = swsp(instance)
         extra = [f"iterations {res.iterations}"]
     else:
-        params = SearchParams(
-            iter_max=args.iter_max, iter_nip=args.iter_nip, gamma=args.gamma, seed=args.seed
-        )
+        params = SearchParams(iter_max=args.iter_max, iter_nip=args.iter_nip, seed=args.seed)
         res = (gvns if args.method == "gvns" else vns)(instance, params)
         extra = [f"iterations {res.iterations}", f"perturbations {res.perturbations}",
                  f"seed {res.seed}"]
@@ -151,22 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--instance", required=True, help="instance JSON path")
     solve.add_argument("--method", required=True, choices=METHODS)
     solve.add_argument("--seed", type=int, default=0, help="run seed (vns/gvns)")
-    solve.add_argument("--iter-max", type=int, default=500, help="iteration budget")
+    solve.add_argument("--iter-max", type=int, default=500, help="iteration budget (vns/gvns)")
     solve.add_argument("--iter-nip", type=int, default=150,
-                       help="non-improving iteration budget")
-    solve.add_argument("--gamma", type=int, default=None,
-                       help="iterations without improvement before perturbing"
-                            " (default: iter-nip / 2)")
-    solve.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_FORCE_CAP,
-                       help="size cap for exact enumeration")
-    solve.add_argument("--w1-min", type=float, default=0.2, help="swsp weight bound")
-    solve.add_argument("--w1-max", type=float, default=0.9, help="swsp weight bound")
-    solve.add_argument("--w2-min", type=float, default=0.1, help="swsp weight bound")
-    solve.add_argument("--w2-max", type=float, default=0.7, help="swsp weight bound")
-    solve.add_argument("--w3-fallback", type=float, default=0.1,
-                       help="swsp third weight when 1 - w1 - w2 <= 0")
-    solve.add_argument("--swap-until-fixpoint", action="store_true",
-                       help="repeat the swsp swap pass until it stops improving")
+                       help="non-improving iteration budget (vns/gvns); gvns perturbs"
+                            " after iter-nip // 2")
     solve.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run a benchmark from a config file")

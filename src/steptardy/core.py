@@ -186,6 +186,8 @@ def _validate_instance(instance: Instance) -> list[str]:
         report.append("instance must contain at least one job")
     if not isinstance(instance.name, str):
         report.append(f"name must be a string (got {instance.name!r})")
+    if instance.seed is not None and type(instance.seed) is not int:  # nor a bool
+        report.append(f"seed must be an int or null (got {instance.seed!r})")
     seen: set[int] = set()
     for job in instance.jobs:
         fields = {"id": job.id, "a": job.a, "b": job.b, "d": job.d, "h": job.h}

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .core import Instance, total_tardiness
 
-DEFAULT_BRUTE_FORCE_CAP = 10
+BRUTE_FORCE_CAP = 10
 BRANCH_AND_BOUND_CAP = 12
 
 
@@ -34,17 +34,17 @@ class OptimalResult:
     proven: bool = True
 
 
-def brute_force(instance: Instance, n_cap: int = DEFAULT_BRUTE_FORCE_CAP) -> OptimalResult:
+def brute_force(instance: Instance) -> OptimalResult:
     """Enumerate all n! sequences and return the minimum total tardiness.
 
     Among ties the lexicographically smallest sequence is returned, and the
-    number of optimal sequences is counted.  Refuses instances larger than
-    ``n_cap``.
+    number of optimal sequences is counted.  Refuses n above
+    ``BRUTE_FORCE_CAP``.
     """
     n = instance.n
-    if n > n_cap:
+    if n > BRUTE_FORCE_CAP:
         raise ValueError(
-            f"brute force refused: n={n} exceeds cap {n_cap} ({n}! sequences)"
+            f"brute force refused: n={n} exceeds cap {BRUTE_FORCE_CAP} ({n}! sequences)"
         )
     a, ab, d, h = instance._columns
     best = None

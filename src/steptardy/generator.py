@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, isfinite
 from random import Random
 from typing import Iterable, Sequence
 
@@ -49,6 +49,8 @@ class GenSpec:
             raise ValueError(f"h_class must be one of {H_CLASSES}")
         if self.d_class not in D_CLASSES:
             raise ValueError(f"d_class must be one of {D_CLASSES}")
+        if not isfinite(self.tau):
+            raise ValueError(f"tau must be finite (got {self.tau})")
         if int(100 * self.tau) < 1:
             raise ValueError("tau too small: the penalty interval (0, 100*tau] is empty")
 
@@ -102,11 +104,11 @@ def generate_instance(spec: GenSpec) -> Instance:
     return Instance(jobs=jobs, name=name, seed=spec.seed)
 
 
-def generate_suite(sizes: Sequence[int], seed: int, tau: float = 0.5) -> list[Instance]:
+def generate_suite(sizes: Sequence[int], seed: int) -> list[Instance]:
     """One instance per (group, size) cell, group-major order.
 
-    Cell seeds derive from the master seed so the suite is reproducible and
-    the cells are independent.
+    Every cell takes the default tau = 0.5.  Cell seeds derive from the
+    master seed so the suite is reproducible and the cells are independent.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -114,6 +116,6 @@ def generate_suite(sizes: Sequence[int], seed: int, tau: float = 0.5) -> list[In
     for h_class, d_class in GROUPS:
         for n in sizes:
             cell_seed = derive_seed(seed, "cell", h_class, d_class, n)
-            spec = GenSpec(n=n, h_class=h_class, d_class=d_class, tau=tau, seed=cell_seed)
+            spec = GenSpec(n=n, h_class=h_class, d_class=d_class, seed=cell_seed)
             instances.append(generate_instance(spec))
     return instances

@@ -85,6 +85,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods {list(self.methods)} name a method more than once")
         if not self.instances and not self.gen_sizes:
             raise ValueError("config needs instance paths or generation sizes")
         SearchParams(iter_max=self.iter_max, iter_nip=self.iter_nip)  # raises once, not per cell
@@ -241,22 +243,18 @@ def run_benchmark(config: ExperimentConfig, zero_time: bool = False) -> BenchRep
     return report
 
 
+def _cells(r: ReportRow) -> list[str]:
+    """A row's formatted values, in ``CSV_HEADER`` order."""
+    return [r.group, str(r.n), r.method, str(r.best),
+            *(f"{x:.2f}" for x in (r.mean, r.rpd_pct, r.mad_pct, r.time_s))]
+
+
 def render_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.group},{r.n},{r.method},{r.best},"
-            f"{r.mean:.2f},{r.rpd_pct:.2f},{r.mad_pct:.2f},{r.time_s:.2f}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(",".join(_cells(r)) for r in rows)]) + "\n"
 
 
 def render_markdown(rows) -> str:
     header = CSV_HEADER.split(",")
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for r in rows:
-        lines.append(
-            f"| {r.group} | {r.n} | {r.method} | {r.best} "
-            f"| {r.mean:.2f} | {r.rpd_pct:.2f} | {r.mad_pct:.2f} | {r.time_s:.2f} |"
-        )
+    lines = ["| " + " | ".join(cells) + " |" for cells in [header, *map(_cells, rows)]]
+    lines.insert(1, "|" + "---|" * len(header))
     return "\n".join(lines) + "\n"

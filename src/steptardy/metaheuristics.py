@@ -3,10 +3,12 @@
 ``gvns`` shakes the incumbent in a cycling neighborhood, improves the
 shaken point with a variable neighborhood descent through all five
 neighborhoods in a freshly randomized order, accepts strict improvements
-only, and restarts from a three-cut perturbation of the incumbent after a
-stretch of non-improving iterations.  ``vns`` is the plain variant: the
-local search uses only the shaking neighborhood, the neighborhood index
-advances only on failure, and there is no perturbation.
+only, and restarts from a three-cut perturbation of the incumbent after
+more than ``gamma`` = iter_nip // 2 non-improving iterations.  ``vns`` is
+the plain variant: the local search uses only the shaking neighborhood, the
+neighborhood index advances only on failure, and there is no perturbation.
+Both cycle the shaking neighborhood over all five ``NEIGHBORHOOD_IDS``, as
+in the paper; only the stopping rule and the seed are parameters.
 
 Each run draws from three independent substreams (shaking, descent order,
 perturbation) derived from the run seed, so identical parameters reproduce
@@ -31,27 +33,22 @@ class SearchParams:
 
     The run stops once the iteration count exceeds ``iter_max`` or the
     number of consecutive non-improving iterations exceeds ``iter_nip``;
-    ``gamma`` iterations without improvement trigger the perturbation.
-    When ``gamma`` is omitted it defaults to half of ``iter_nip``.
+    more than ``gamma`` = iter_nip // 2 iterations without improvement
+    trigger the perturbation, so iter_nip must be at least 2.
     """
 
     iter_max: int = 500
     iter_nip: int = 150
-    gamma: int | None = None
     seed: int = 0
-    k_max: int = 5
 
     def __post_init__(self):
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", self.iter_nip // 2)
-        if self.iter_max <= 0:
-            raise ValueError("iter_max must be positive")
-        if not 0 < self.iter_nip <= self.iter_max:
-            raise ValueError("iter_nip must satisfy 0 < iter_nip <= iter_max")
-        if not 0 < self.gamma <= self.iter_nip:
-            raise ValueError("gamma must satisfy 0 < gamma <= iter_nip")
-        if not 1 <= self.k_max <= len(NEIGHBORHOOD_IDS):
-            raise ValueError(f"k_max must lie in 1..{len(NEIGHBORHOOD_IDS)}")
+        if not 2 <= self.iter_nip <= self.iter_max:
+            raise ValueError("iter_nip must satisfy 2 <= iter_nip <= iter_max")
+
+    @property
+    def gamma(self) -> int:
+        """Iterations without improvement before ``gvns`` perturbs."""
+        return self.iter_nip // 2
 
 
 def edd_sequence(instance: Instance) -> list[int]:
@@ -95,14 +92,13 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
     cur = edd_sequence(instance)
     cur_val = total_tardiness(instance, cur)
     best, best_val = list(cur), cur_val
-    ks = list(range(1, params.k_max + 1))
     iter1 = iter2 = iter3 = 0
     perturbations = 0
     k = 1
     trace = []
     while True:
         cand = shake(cur, k, rng_shake)
-        order = list(ks)
+        order = list(NEIGHBORHOOD_IDS)
         rng_order.shuffle(order)
         cand = vnd(instance, cand, order)
         cand_val = total_tardiness(instance, cand)
@@ -125,7 +121,7 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
             # still resets so the trigger is not re-armed every iteration
             iter3 = 0
             perturbations += 1
-        k = k % params.k_max + 1
+        k = k % len(NEIGHBORHOOD_IDS) + 1
         if iter1 > params.iter_max or iter2 > params.iter_nip:
             break
     return RunResult(
@@ -162,7 +158,7 @@ def vns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
             cur, cur_val = cand, cand_val
             iter2 = 0
         else:
-            k = k % params.k_max + 1
+            k = k % len(NEIGHBORHOOD_IDS) + 1
             iter2 += 1
         iter1 += 1
         trace.append(cur_val)

@@ -168,6 +168,14 @@ def _load_kernel():
 _kernel, _KERNEL_ERROR = _load_kernel()
 
 
+def _kernel_rows(instance: Instance) -> bytes | None:
+    """The instance's rows for the C kernel, or None when the Python code
+    runs: the kernel did not load or the instance does not fit int64.  The
+    kernel indexes its rows by job id, so a caller passes it only a checked
+    permutation."""
+    return instance._int64_rows if _kernel is not None else None
+
+
 def _descend_kernel(rows: bytes, sequence: Sequence[int], k: int) -> list[int]:
     """``descend`` in the C kernel over ``Instance._int64_rows``."""
     seq = (ctypes.c_int64 * len(sequence))(*sequence)
@@ -203,9 +211,7 @@ def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
     if k not in NEIGHBORHOOD_IDS:
         raise ValueError(f"unknown neighborhood {k}; expected one of {NEIGHBORHOOD_IDS}")
     _check_permutation(instance, sequence)
-    # the kernel indexes its rows by job id, so only a checked permutation
-    # may reach it
-    rows = instance._int64_rows if _kernel is not None else None
+    rows = _kernel_rows(instance)
     if rows is None:
         return _descend_python(instance, sequence, k)
     return _descend_kernel(rows, sequence, k)

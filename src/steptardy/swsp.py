@@ -4,7 +4,9 @@ A grid of weight triples (w1, w2, w3) is generated; for each triple a
 sequence is built greedily by always appending the unscheduled job with the
 smallest weighted score w1*d_j + w2*p_j + w3*h_j, where p_j is the
 processing time the job would actually incur if started now.  The best
-constructed sequence is then polished by a pairwise-swap improvement pass.
+constructed sequence is then polished by one pairwise-swap improvement
+pass.  The grid's bounds are the paper's, fixed as ``W1_MIN`` through
+``W3_FALLBACK``.
 
 The n*n triples cost O(n^2) each, so the weighted search is O(n^4).  It and
 the swap pass run in the C kernel of ``neighborhoods`` (``_kernel.c``)
@@ -34,54 +36,34 @@ class WeightTriple:
     w3: float
 
 
-@dataclass(frozen=True)
-class SwspParams:
-    """Weight-grid bounds and improvement options.
-
-    w3 is 1 - w1 - w2 and falls back to ``w3_fallback`` whenever that is not
-    positive.  ``swap_until_fixpoint`` repeats the swap pass until it stops
-    improving instead of the default single pass.
-    """
-
-    w1_min: float = 0.2
-    w1_max: float = 0.9
-    w2_min: float = 0.1
-    w2_max: float = 0.7
-    w3_fallback: float = 0.1
-    swap_until_fixpoint: bool = False
-
-    def __post_init__(self):
-        if self.w1_min > self.w1_max or self.w2_min > self.w2_max:
-            raise ValueError("weight bounds must satisfy min <= max")
-        if self.w3_fallback <= 0:
-            raise ValueError("w3_fallback must be positive")
+# the paper's weight grid: w1 over [0.2, 0.9], w2 over [0.1, 0.7], w3 = 1 - w1 - w2 or 0.1
+W1_MIN, W1_MAX, W2_MIN, W2_MAX, W3_FALLBACK = 0.2, 0.9, 0.1, 0.7, 0.1
 
 
-def weight_grid(n: int, params: SwspParams = SwspParams()) -> list[WeightTriple]:
+def weight_grid(n: int) -> list[WeightTriple]:
     """All n*n weight triples in (l1, l2) lexicographic order.
 
-    w1 ramps linearly from w1_min to w1_max over l1 = 1..n, w2 likewise over
-    l2 = 1..n, and w3 = 1 - w1 - w2 clamped to the fallback when <= 0.
-    Needs n >= 2 (the ramp divides by n - 1).
+    w1 ramps linearly from W1_MIN to W1_MAX over l1 = 1..n, w2 likewise over
+    l2 = 1..n, and w3 = 1 - w1 - w2 clamped to W3_FALLBACK when <= 0.  At
+    n = 1 each ramp is its first point.
     """
-    w = _weights(n, params)
+    w = _weights(n)
     return [WeightTriple(w[i], w[i + 1], w[i + 2]) for i in range(0, len(w), 3)]
 
 
-def _weights(n: int, params: SwspParams) -> array:
+def _weights(n: int) -> array:
     """The weights of ``weight_grid`` as one flat array of doubles, (w1, w2,
     w3) for each triple in turn: what the C kernel reads, without building
     n*n objects."""
-    if n < 2:
-        raise ValueError("weight grid needs n >= 2")
+    steps = max(n - 1, 1)
     weights = array("d")
     for l1 in range(1, n + 1):
-        w1 = params.w1_min + (params.w1_max - params.w1_min) * (l1 - 1) / (n - 1)
+        w1 = W1_MIN + (W1_MAX - W1_MIN) * (l1 - 1) / steps
         for l2 in range(1, n + 1):
-            w2 = params.w2_min + (params.w2_max - params.w2_min) * (l2 - 1) / (n - 1)
+            w2 = W2_MIN + (W2_MAX - W2_MIN) * (l2 - 1) / steps
             w3 = 1.0 - w1 - w2
             if w3 <= 0:
-                w3 = params.w3_fallback
+                w3 = W3_FALLBACK
             weights.extend((w1, w2, w3))
     return weights
 
@@ -124,9 +106,7 @@ def pairwise_swap_pass(instance: Instance, sequence: Sequence[int]) -> list[int]
     are evaluated against it.
     """
     _check_permutation(instance, sequence)
-    # the kernel indexes its rows by job id, so only a checked permutation
-    # may reach it
-    rows = instance._int64_rows if neighborhoods._kernel is not None else None
+    rows = neighborhoods._kernel_rows(instance)
     if rows is None:
         return _pairwise_swap_pass_python(instance, sequence)
     return _pairwise_swap_pass_kernel(rows, sequence)
@@ -157,18 +137,16 @@ def _pairwise_swap_pass_python(instance: Instance, sequence: Sequence[int]) -> l
     return seq
 
 
-def weighted_search(
-    instance: Instance, params: SwspParams = SwspParams()
-) -> tuple[list[int], int, list[int]]:
+def weighted_search(instance: Instance) -> tuple[list[int], int, list[int]]:
     """Best greedy sequence over the whole weight grid.
 
     Returns (sequence, value, trace) where trace[i] is the best value after
     the i-th triple; the first triple reaching the best value wins ties.
     """
-    rows = instance._int64_rows if neighborhoods._kernel is not None else None
+    rows = neighborhoods._kernel_rows(instance)
     if rows is None:
-        return _weighted_search_python(instance, weight_grid(instance.n, params))
-    return _weighted_search_kernel(rows, instance.n, _weights(instance.n, params))
+        return _weighted_search_python(instance, weight_grid(instance.n))
+    return _weighted_search_kernel(rows, instance.n, _weights(instance.n))
 
 
 def _weighted_search_kernel(
@@ -201,23 +179,15 @@ def _weighted_search_python(
     return best_seq, best_val, trace
 
 
-def swsp(instance: Instance, params: SwspParams = SwspParams()) -> RunResult:
+def swsp(instance: Instance) -> RunResult:
     """Full procedure: weighted search, then the pairwise-swap pass.
 
     Fully deterministic; RunResult.iterations is the number of weight
     triples evaluated and RunResult.trace the per-triple best values.
     """
     t0 = time.perf_counter()
-    seq, _, trace = weighted_search(instance, params)
+    seq, _, trace = weighted_search(instance)
     improved = pairwise_swap_pass(instance, seq)
-    if params.swap_until_fixpoint:
-        val = total_tardiness(instance, improved)
-        while True:
-            again = pairwise_swap_pass(instance, improved)
-            new_val = total_tardiness(instance, again)
-            if new_val >= val:
-                break
-            improved, val = again, new_val
     final_val = total_tardiness(instance, improved)
     return RunResult(
         best_sequence=tuple(improved),

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from steptardy import build_model, export_lp, load_instance
+from steptardy import build_model, export_lp, load_instance, save_instance
 from steptardy.cli import main
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_instance
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +44,14 @@ class TestGen:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_non_finite_tau_fails_cleanly(self, capsys, tau):
+        code, out, err = run_cli(
+            capsys, "gen", "--n", "5", "--h-class", "1", "--d-class", "1", "--tau", tau
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: tau must be finite")
 
 
 class TestEval:
@@ -131,6 +139,13 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[0] == "value 572"
         assert "iterations 64" in out
+
+    def test_swsp_single_job(self, capsys, tmp_path):
+        path = tmp_path / "n1.json"
+        save_instance(make_instance([(7, 2, 3, 0)]), path)
+        code, out, _ = run_cli(capsys, "solve", "--instance", str(path), "--method", "swsp")
+        assert code == 0
+        assert out == "value 4\nsequence 1\niterations 1\n"
 
     def test_gvns_deterministic_stdout(self, capsys, demo8_path):
         args = (

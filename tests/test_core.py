@@ -81,10 +81,10 @@ class TestEvaluateSchedule:
         )
 
 
-def invalid(jobs, name=""):
+def invalid(jobs, **fields):
     """The one message of the ValueError that building this instance raises."""
     with pytest.raises(ValueError) as exc:
-        Instance(jobs=jobs, name=name)
+        Instance(jobs=jobs, **fields)
     message = str(exc.value)
     assert message.startswith("invalid instance: ")
     return message.removeprefix("invalid instance: ").split("; ")
@@ -118,19 +118,23 @@ class TestValidateInstance:
         ]
 
     @pytest.mark.parametrize(
-        "jobs, name, messages",
+        "jobs, fields, messages",
         [
-            ((Job(id=1, a=2.5, b=0, d=0, h=0),), "", ["job 1: a must be an integer (got 2.5)"]),
-            ((Job(id=1, a=1, b=True, d=0, h=0),), "", ["job 1: b must be an integer (got True)"]),
-            ((Job(id="1", a=1, b=0, d=0, h=0),), "",
+            ((Job(id=1, a=2.5, b=0, d=0, h=0),), {}, ["job 1: a must be an integer (got 2.5)"]),
+            ((Job(id=1, a=1, b=True, d=0, h=0),), {}, ["job 1: b must be an integer (got True)"]),
+            ((Job(id="1", a=1, b=0, d=0, h=0),), {},
              ["job '1': id must be an integer (got '1')", "missing job ids: [1]"]),
-            ((), "", ["instance must contain at least one job"]),
-            ((Job(id=1, a=1, b=0, d=0, h=0),), 5, ["name must be a string (got 5)"]),
+            ((), {}, ["instance must contain at least one job"]),
+            ((Job(id=1, a=1, b=0, d=0, h=0),), {"name": 5}, ["name must be a string (got 5)"]),
+            ((Job(id=1, a=1, b=0, d=0, h=0),), {"seed": "x"},
+             ["seed must be an int or null (got 'x')"]),
+            ((Job(id=1, a=1, b=0, d=0, h=0),), {"seed": True},
+             ["seed must be an int or null (got True)"]),
         ],
-        ids=["float-a", "bool-b", "string-id", "empty", "int-name"],
+        ids=["float-a", "bool-b", "string-id", "empty", "int-name", "string-seed", "bool-seed"],
     )
-    def test_type_violations(self, jobs, name, messages):
-        assert invalid(jobs, name) == messages
+    def test_type_violations(self, jobs, fields, messages):
+        assert invalid(jobs, **fields) == messages
 
     def test_invalid_json_payload_refused(self, demo8):
         text = instance_to_json(demo8).replace('"b": 41', '"b": -41')

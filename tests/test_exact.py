@@ -17,6 +17,7 @@ from steptardy import (
     vns,
     SearchParams,
 )
+from steptardy import exact
 from steptardy.exact import BRANCH_AND_BOUND_CAP
 
 from conftest import instances, make_instance, random_instance, tied_cases
@@ -42,13 +43,14 @@ class TestBruteForce:
         assert result.best_value == 1
         assert result.best_sequence == (2, 1)
 
-    def test_cap_refused(self):
+    def test_cap_refused(self, monkeypatch):
         with pytest.raises(ValueError, match="cap"):
             brute_force(make_instance([(1, 0, 0, 0)] * 11))
+        monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 4)
         four = make_instance([(1, 0, 0, 0)] * 4)
-        assert brute_force(four, n_cap=4).best_value == 1 + 2 + 3 + 4
+        assert brute_force(four).best_value == 1 + 2 + 3 + 4
         with pytest.raises(ValueError, match="cap"):
-            brute_force(make_instance([(1, 0, 0, 0)] * 5), n_cap=4)
+            brute_force(make_instance([(1, 0, 0, 0)] * 5))
 
     def test_lexicographic_tie_break_and_count(self):
         # two identical jobs: both orders optimal, smallest sequence wins

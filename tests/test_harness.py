@@ -88,6 +88,7 @@ class TestExperimentConfig:
             {"gen_sizes": (8.0,)},
             {"gen_sizes": (8,), "seed": "0"},
             {"gen_sizes": (8,), "output": None},
+            {"gen_sizes": (8,), "methods": ("gvns", "gvns")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

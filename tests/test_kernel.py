@@ -25,7 +25,6 @@ from steptardy import NEIGHBORHOOD_IDS, descend, generate_suite
 from steptardy import neighborhoods
 from steptardy.neighborhoods import _descend_kernel, _descend_python
 from steptardy.swsp import (
-    SwspParams,
     _pairwise_swap_pass_kernel,
     _pairwise_swap_pass_python,
     _weighted_search_kernel,
@@ -158,7 +157,7 @@ def _swsp_both(instance, seq):
         _pairwise_swap_pass_python(instance, found[0]),
     )
     kernel = (
-        _weighted_search_kernel(rows, instance.n, _weights(instance.n, SwspParams())),
+        _weighted_search_kernel(rows, instance.n, _weights(instance.n)),
         _pairwise_swap_pass_kernel(rows, seq),
         _pairwise_swap_pass_kernel(rows, found[0]),
     )
@@ -166,7 +165,7 @@ def _swsp_both(instance, seq):
 
 
 @needs_kernel
-@pytest.mark.parametrize("n", [2, 3, 8, 25, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 25, 50])
 def test_swsp_parity_on_generated_instances(n):
     rng = random.Random(n)
     # the Python weighted search takes ~0.5 s per n=50 instance
@@ -195,7 +194,7 @@ def equal_jobs(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     equal_jobs(),
-    tied_cases().filter(lambda case: case[0].n >= 2),
+    tied_cases(),
     # short jobs with long steps: the greedy's completion often lands on an h
     instances_with_sequence(min_n=2, max_a=3, max_b=10, max_d=24, max_h=24),
 ))
@@ -255,8 +254,6 @@ def test_swsp_inputs_checked_before_the_kernel(monkeypatch, demo8):
     _no_swsp_kernel(monkeypatch)
     with pytest.raises(ValueError):
         pairwise_swap_pass(demo8, [1, 2, 3, 4, 5, 6, 7, 9])
-    with pytest.raises(ValueError):
-        weighted_search(make_instance([(1, 0, 1, 0)]))
 
 
 def _copy_package(tmp_path):

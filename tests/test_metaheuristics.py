@@ -40,18 +40,13 @@ class TestSearchParams:
     def test_gamma_derived_from_iter_nip(self):
         assert SearchParams(iter_nip=100).gamma == 50
 
-    def test_explicit_gamma_kept(self):
-        assert SearchParams(gamma=10).gamma == 10
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"iter_max": 0},
             {"iter_nip": 0},
             {"iter_max": 10, "iter_nip": 20},
-            {"gamma": 200},
-            {"k_max": 0},
-            {"k_max": 6},
+            {"iter_nip": 1},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steptardy import (
-    SwspParams,
     WeightTriple,
     brute_force,
     greedy_construct,
@@ -42,17 +41,10 @@ class TestWeightGrid:
         w1_values = [t.w1 for t in grid]
         assert w1_values == sorted(w1_values)  # l1-major sweep
 
-    def test_rejects_single_job(self):
-        with pytest.raises(ValueError):
-            weight_grid(1)
+    def test_single_job_is_the_first_triple(self):
+        assert weight_grid(1) == [weight_grid(8)[0]]
 
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            SwspParams(w1_min=0.9, w1_max=0.2)
-        with pytest.raises(ValueError):
-            SwspParams(w3_fallback=0.0)
-
-    @given(st.integers(2, 12))
+    @given(st.integers(1, 12))
     def test_third_weight_always_positive(self, n):
         assert all(t.w3 > 0 for t in weight_grid(n))
 
@@ -126,17 +118,12 @@ class TestSwsp:
         assert first.best_value == second.best_value
         assert first.trace == second.trace
 
-    def test_swap_until_fixpoint_never_worse(self, demo8):
-        default = swsp(demo8)
-        thorough = swsp(demo8, SwspParams(swap_until_fixpoint=True))
-        assert thorough.best_value <= default.best_value
-
     def test_all_slack_instance_reaches_zero(self):
         instance = make_instance([(3, 2, 10_000, 0)] * 4)
         assert swsp(instance).best_value == 0
 
     @settings(max_examples=15, deadline=None)
-    @given(instances(min_n=2, max_n=7))
+    @given(instances(min_n=1, max_n=7))
     def test_final_never_above_weighted_stage_nor_below_optimum(self, instance):
         _, stage_value, _ = weighted_search(instance)
         run = swsp(instance)
