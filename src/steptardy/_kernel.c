@@ -7,8 +7,8 @@
      _descend_python accepts the first move that strictly lowers the total
      tardiness and repeats until none does.  The scans below visit the same
      moves in the same order but skip candidates that provably cannot beat
-     the incumbent (see tail_eval and scan_insertion), so they accept the
-     same first improving move and return the same sequence.
+     the incumbent (see lower_bound, tail_eval and scan_insertion), so they
+     accept the same first improving move and return the same sequence.
    - SWSP: line-for-line ports of swsp.py's weighted_search (with
      greedy_construct and _total) and pairwise_swap_pass.  The greedy scores
      are the same double expression, w1*d + w2*p + w3*h evaluated left to
@@ -23,9 +23,16 @@
 
    Every pruning rule rests on two facts.  Tardiness terms are never
    negative, so a candidate whose running tardiness reaches the incumbent
-   total is no improvement, whatever follows.  And since b >= 0, a job that
-   starts later never finishes earlier: its processing time can only grow,
-   from a to a + b, as its start passes h.
+   total is no improvement, whatever follows.  And the lemma: with b >= 0,
+   a job started at s completes at f(s) = s + p(s), with p(s) = a for
+   s <= h and a + b after, so f(s') - f(s) >= s' - s when s' > s.  For an
+   unchanged stretch k..end-1 of the incumbent entered at completion time c
+   instead of the incumbent's C[k], two consequences follow:
+   - if c >= C[k], every job in the stretch starts no earlier than in the
+     incumbent, so the stretch adds at least TS[end] - TS[k] and ends at or
+     after C[end] + (c - C[k]);
+   - if c != C[k], the shift keeps its sign and never shrinks, so
+     completion times never resynchronise inside the stretch.
 
    Built and loaded by neighborhoods.py on first import.  */
 
@@ -50,6 +57,17 @@ static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS)
     }
 }
 
+/* The completion of job x started at s, and its tardiness at completion c.  */
+static inline i64 fin(const job_t *J, i64 x, i64 s)
+{
+    return s + (s <= J[x].h ? J[x].a : J[x].ab);
+}
+
+static inline i64 tard(const job_t *J, i64 x, i64 c)
+{
+    return c > J[x].d ? c - J[x].d : 0;
+}
+
 /* Append job x at (*c, *t).  Nonzero when its tardiness brings *t to
    total: the candidate cannot improve and is dropped.  */
 static inline int step(const job_t *J, i64 x, i64 *c, i64 *t, i64 total)
@@ -67,10 +85,36 @@ static inline int step(const job_t *J, i64 x, i64 *c, i64 *t, i64 total)
    the candidate is already no better than total.  */
 static inline int start(const job_t *J, i64 x, i64 c0, i64 t0, i64 *c, i64 *t, i64 total)
 {
-    const job_t *j = &J[x];
-    *c = c0 + (c0 <= j->h ? j->a : j->ab);
-    *t = t0 + (*c > j->d ? *c - j->d : 0);
+    *c = fin(J, x, c0);
+    *t = t0 + tard(J, x, *c);
     return *t >= total;
+}
+
+/* A lower bound, in O(1), on the total of a candidate that has reached
+   (c, t) with c >= C[lo] and continues with the incumbent's stretch
+   lo..hi-1, then the moved jobs x1 and x2 (each when nonzero), then the
+   unchanged tail from position k.  By the lemma the stretch adds at least
+   TS[hi] - TS[lo] and ends no earlier than e = C[hi] + (c - C[lo]); each
+   moved job then completes no earlier than if it started at e, and the
+   tail adds at least TS[n] - TS[k] when it is entered no earlier than in
+   the incumbent.  A candidate whose bound reaches total is skipped before
+   its window walk.  */
+static inline i64 lower_bound(const job_t *J, const i64 *C, const i64 *TS, i64 lo, i64 hi,
+                              i64 x1, i64 x2, i64 k, i64 c, i64 t, i64 n)
+{
+    i64 e = C[hi] + (c - C[lo]);
+    t += TS[hi] - TS[lo];
+    if (x1) {
+        e = fin(J, x1, e);
+        t += tard(J, x1, e);
+    }
+    if (x2) {
+        e = fin(J, x2, e);
+        t += tard(J, x2, e);
+    }
+    if (e >= C[k])
+        t += TS[n] - TS[k];
+    return t;
 }
 
 /* Finish a candidate over the unchanged positions k..n-1, entered at
@@ -78,11 +122,11 @@ static inline int start(const job_t *J, i64 x, i64 c0, i64 t0, i64 *c, i64 *t, i
    total, else -1.  C and TS are the incumbent's completion and tardiness
    prefixes.
    - c == C[k]: every tail job starts exactly as in the incumbent, so the
-     tail adds the incumbent's TS[n] - TS[k].  The walk stops on the same
-     resynchronisation.
-   - c > C[k]: each tail job starts no earlier than in the incumbent, so by
-     b >= 0 it finishes no earlier and the tail adds at least
-     TS[n] - TS[k]; when that already reaches total, the walk is skipped.  */
+     tail adds the incumbent's TS[n] - TS[k].
+   - c > C[k]: by the lemma the tail adds at least TS[n] - TS[k]; when
+     that already reaches total, the walk is skipped.
+   Otherwise the tail is walked to its end: by the lemma, a shift that is
+   nonzero on entry never returns to zero.  */
 static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS,
                      i64 k, i64 c, i64 t, i64 total, i64 n)
 {
@@ -94,15 +138,9 @@ static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS
         if (t + TS[n] - TS[k] >= total)
             return -1;
     }
-    while (k < n) {
+    for (; k < n; k++)
         if (step(J, seq[k], &c, &t, total))
             return -1;
-        k++;
-        if (c == C[k]) {
-            t += TS[n] - TS[k];
-            break;
-        }
-    }
     return t < total ? t : -1;
 }
 
@@ -116,6 +154,8 @@ static int scan_swap(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 
         for (i64 j = i + 1; j < n; j++) {
             i64 xj = seq[j], c, t, k;
             if (start(J, xj, C[i], TS[i], &c, &t, total))
+                continue;
+            if (c >= C[i + 1] && lower_bound(J, C, TS, i + 1, j, xi, 0, j + 1, c, t, n) >= total)
                 continue;
             for (k = i + 1; k < j; k++)
                 if (step(J, seq[k], &c, &t, total))
@@ -138,7 +178,10 @@ static int scan_insertion(i64 *seq, const job_t *J, const i64 *C, const i64 *TS,
         i64 xi = seq[i];
         for (i64 j = 0; j < i; j++) {
             i64 c = C[j], t = TS[j], k;
-            if (step(J, xi, &c, &t, total))
+            /* xi enters first, so the window starts after C[j] (a >= 1)
+               and lower_bound needs no guard; likewise for the couple */
+            if (step(J, xi, &c, &t, total)
+                || lower_bound(J, C, TS, j, i, 0, 0, i + 1, c, t, n) >= total)
                 continue;
             for (k = j; k < i; k++)
                 if (step(J, seq[k], &c, &t, total))
@@ -180,6 +223,8 @@ static int scan_pair_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 
             i64 xj = seq[j], xj1 = seq[j + 1], c, t, k;
             if (start(J, xj, C[i], TS[i], &c, &t, total) || step(J, xj1, &c, &t, total))
                 continue;
+            if (c >= C[i + 2] && lower_bound(J, C, TS, i + 2, j, xi, xi1, j + 2, c, t, n) >= total)
+                continue;
             for (k = i + 2; k < j; k++)
                 if (step(J, seq[k], &c, &t, total))
                     break;
@@ -203,7 +248,8 @@ static int scan_couple_insertion(i64 *seq, const job_t *J, const i64 *C, const i
         i64 xi = seq[i], xi1 = seq[i + 1];
         for (i64 j = 0; j < i; j++) {
             i64 c = C[j], t = TS[j], k;
-            if (step(J, xi, &c, &t, total) || step(J, xi1, &c, &t, total))
+            if (step(J, xi, &c, &t, total) || step(J, xi1, &c, &t, total)
+                || lower_bound(J, C, TS, j, i, 0, 0, i + 2, c, t, n) >= total)
                 continue;
             for (k = j; k < i; k++)
                 if (step(J, seq[k], &c, &t, total))

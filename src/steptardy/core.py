@@ -68,6 +68,11 @@ class Instance:
         return a, ab, d, h
 
     @cached_property
+    def _ids(self) -> frozenset[int]:
+        """The job ids 1..n, which every sequence must be a permutation of."""
+        return frozenset(range(1, self.n + 1))
+
+    @cached_property
     def _int64_rows(self) -> bytes | None:
         """The columns as native int64 rows (a, ab, d, h) by job id, for the C scanners.
 
@@ -121,7 +126,7 @@ class RunResult:
 
 def _check_permutation(instance: Instance, sequence: Sequence[int]) -> None:
     n = instance.n
-    if len(sequence) != n or set(sequence) != set(range(1, n + 1)):
+    if len(sequence) != n or set(sequence) != instance._ids:
         raise ValueError(
             f"sequence {list(sequence)} is not a permutation of 1..{n}"
         )

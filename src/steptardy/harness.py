@@ -85,8 +85,11 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError(f"methods {list(self.methods)} name a method more than once")
+        # a repeated entry would run the same cell twice and write its row twice
+        for name, what in (("methods", "method"), ("gen_sizes", "size"), ("instances", "path")):
+            value = getattr(self, name)
+            if len(set(value)) != len(value):
+                raise ValueError(f"{name} {list(value)} name a {what} more than once")
         if not self.instances and not self.gen_sizes:
             raise ValueError("config needs instance paths or generation sizes")
         SearchParams(iter_max=self.iter_max, iter_nip=self.iter_nip)  # raises once, not per cell

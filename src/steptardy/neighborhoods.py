@@ -38,6 +38,8 @@ import hashlib
 import os
 import sys
 import warnings
+from array import array
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 from random import Random
@@ -55,21 +57,23 @@ NEIGHBORHOOD_IDS = (SWAP, INSERTION, PAIR_EXCHANGE, COUPLE_INSERTION, TWO_OPT)
 _FRAGMENT_ORDERS = tuple(p for p in permutations((0, 1, 2)) if p != (0, 1, 2))
 
 
-def _moves(k: int, n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=64)
+def _moves(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Every move (i, j) of neighborhood k on n jobs, in canonical scan order.
 
-    Positions are 0-based; ``_apply`` gives each move's meaning.  The list is
-    empty when n is too short for the neighborhood.
+    Positions are 0-based; ``_apply`` gives each move's meaning.  The tuple is
+    empty when n is too short for the neighborhood.  It is cached per (k, n),
+    up to a bound, because ``shake`` draws one move from it per call.
     """
     if k == SWAP:
-        return [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+        return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
     if k == INSERTION:
-        return [(i, j) for i in range(n) for j in range(n) if j != i]
+        return tuple((i, j) for i in range(n) for j in range(n) if j != i)
     if k == PAIR_EXCHANGE:
-        return [(i, j) for i in range(n - 3) for j in range(i + 2, n - 1)]
+        return tuple((i, j) for i in range(n - 3) for j in range(i + 2, n - 1))
     if k == COUPLE_INSERTION:
-        return [(i, j) for i in range(n - 1) for j in range(n - 1) if j != i]
-    return [(i, j) for i in range(n - 3) for j in range(i + 3, n)]
+        return tuple((i, j) for i in range(n - 1) for j in range(n - 1) if j != i)
+    return tuple((i, j) for i in range(n - 3) for j in range(i + 3, n))
 
 
 def _apply(sequence: Sequence[int], k: int, i: int, j: int) -> list[int]:
@@ -176,12 +180,18 @@ def _kernel_rows(instance: Instance) -> bytes | None:
     return instance._int64_rows if _kernel is not None else None
 
 
+def _int64_view(seq: array):
+    """A ctypes int64 array over ``seq``'s buffer: the kernel reads and
+    writes it in place, with no copy."""
+    return (ctypes.c_int64 * len(seq)).from_buffer(seq)
+
+
 def _descend_kernel(rows: bytes, sequence: Sequence[int], k: int) -> list[int]:
     """``descend`` in the C kernel over ``Instance._int64_rows``."""
-    seq = (ctypes.c_int64 * len(sequence))(*sequence)
-    if _kernel.steptardy_descend(rows, len(seq), seq, k) != 0:
+    seq = array("q", sequence)
+    if _kernel.steptardy_descend(rows, len(seq), _int64_view(seq), k) != 0:
         raise MemoryError("C kernel could not allocate its prefix arrays")
-    return list(seq)
+    return seq.tolist()
 
 
 def _descend_python(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:

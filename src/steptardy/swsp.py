@@ -114,9 +114,10 @@ def pairwise_swap_pass(instance: Instance, sequence: Sequence[int]) -> list[int]
 
 def _pairwise_swap_pass_kernel(rows: bytes, sequence: Sequence[int]) -> list[int]:
     """``pairwise_swap_pass`` in the C kernel over ``Instance._int64_rows``."""
-    seq = (ctypes.c_int64 * len(sequence))(*sequence)
-    neighborhoods._kernel.steptardy_pairwise_swap_pass(rows, len(seq), seq)
-    return list(seq)
+    seq = array("q", sequence)
+    view = neighborhoods._int64_view(seq)
+    neighborhoods._kernel.steptardy_pairwise_swap_pass(rows, len(seq), view)
+    return seq.tolist()
 
 
 def _pairwise_swap_pass_python(instance: Instance, sequence: Sequence[int]) -> list[int]:
@@ -154,12 +155,13 @@ def _weighted_search_kernel(
 ) -> tuple[list[int], int, list[int]]:
     """``weighted_search`` in the C kernel, over ``_weights``."""
     m = len(weights) // 3
-    seq = (ctypes.c_int64 * n)()
-    trace = (ctypes.c_int64 * m)()
+    seq = array("q", [0]) * n
+    trace = array("q", [0]) * m
     grid = (ctypes.c_double * len(weights)).from_buffer(weights)
-    if neighborhoods._kernel.steptardy_weighted_search(rows, n, grid, m, seq, trace) != 0:
+    views = neighborhoods._int64_view(seq), neighborhoods._int64_view(trace)
+    if neighborhoods._kernel.steptardy_weighted_search(rows, n, grid, m, *views) != 0:
         raise MemoryError("C kernel could not allocate its greedy arrays")
-    return list(seq), trace[-1], list(trace)
+    return seq.tolist(), trace[-1], trace.tolist()
 
 
 def _weighted_search_python(

@@ -89,6 +89,11 @@ class TestExperimentConfig:
             {"gen_sizes": (8,), "seed": "0"},
             {"gen_sizes": (8,), "output": None},
             {"gen_sizes": (8,), "methods": ("gvns", "gvns")},
+            # a repeated size or path would run an instance twice
+            {"gen_sizes": (8, 8)},
+            {"gen_sizes": (8, 10, 8)},
+            {"instances": ("x.json", "x.json")},
+            {"instances": ("x.json",), "gen_sizes": (10, 10)},
         ],
     )
     def test_invalid_rejected(self, kwargs):

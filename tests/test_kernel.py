@@ -90,6 +90,24 @@ def test_parity_on_generated_instances(n):
 
 
 @needs_kernel
+def test_parity_on_a_seeded_sweep():
+    """Short jobs with small due and deteriorating dates: completion times
+    often land exactly on a C[k], an h or a d, where an off-by-one bound in
+    the kernel's pruning would skip an improving move."""
+    rng = random.Random(300)
+    for _ in range(300):
+        n = rng.randint(4, 10)
+        instance = make_instance(
+            [(rng.randint(1, 5), rng.randint(0, 6), rng.randint(0, 20), rng.randint(0, 15))
+             for _ in range(n)]
+        )
+        seq = rng.sample(range(1, n + 1), n)
+        for k in NEIGHBORHOOD_IDS:
+            python, kernel = _both(instance, seq, k)
+            assert kernel == python, (instance.jobs, seq, k)
+
+
+@needs_kernel
 @settings(max_examples=150, deadline=None)
 @given(tied_cases(), st.sampled_from(NEIGHBORHOOD_IDS))
 def test_parity_with_ties(case, k):
@@ -144,6 +162,19 @@ def test_missing_kernel_takes_python_path(monkeypatch, demo8):
 def test_sequence_checked_before_the_kernel(demo8):
     with pytest.raises(ValueError):
         descend(demo8, [1, 2, 3, 4, 5, 6, 7, 9], 1)
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "seq, error", [([2.0, 1.0], TypeError), ([2**64, 1], OverflowError)], ids=["float", "huge"]
+)
+def test_kernel_buffers_refuse_what_int64_cannot_hold(seq, error):
+    # the int64 buffer is built before any C call, so nothing reaches the kernel
+    rows = make_instance([(1, 0, 0, 0), (2, 0, 0, 0)])._int64_rows
+    with pytest.raises(error):
+        _descend_kernel(rows, seq, 1)
+    with pytest.raises(error):
+        _pairwise_swap_pass_kernel(rows, seq)
 
 
 def _swsp_both(instance, seq):
