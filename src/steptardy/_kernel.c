@@ -68,17 +68,26 @@ static inline i64 tard(const job_t *J, i64 x, i64 c)
     return c > J[x].d ? c - J[x].d : 0;
 }
 
-/* Append job x at (*c, *t).  Nonzero when its tardiness brings *t to
-   total: the candidate cannot improve and is dropped.  */
+/* Append job x at (*c, *t).  Nonzero when *t has reached total: the
+   candidate cannot improve and is dropped.
+
+   The step has no branch on whether x is tardy, which depends on the data
+   and is hard to predict in a window walk: the tardiness is added with a
+   select and *t is tested on every call.  That accepts the same moves as
+   testing only after a tardy job: *t never decreases, so once it reaches
+   total no continuation can finish below it, and a candidate whose
+   running tardiness already equals total on entry (TS[j] == total when
+   the incumbent's tail is on time) is only dropped a step sooner.  For the
+   same reason a strict > here would change no result either: a candidate
+   at exactly total would walk on and be refused later, at the latest by
+   tail_eval's final t < total.  */
 static inline int step(const job_t *J, i64 x, i64 *c, i64 *t, i64 total)
 {
     const job_t *j = &J[x];
     *c += *c <= j->h ? j->a : j->ab;
-    if (*c > j->d) {
-        *t += *c - j->d;
-        return *t >= total;
-    }
-    return 0;
+    i64 late = *c - j->d;
+    *t += late > 0 ? late : 0;
+    return *t >= total;
 }
 
 /* Open a window with job x after a prefix ending at (c0, t0).  Nonzero when
@@ -98,7 +107,8 @@ static inline int start(const job_t *J, i64 x, i64 c0, i64 t0, i64 *c, i64 *t, i
    moved job then completes no earlier than if it started at e, and the
    tail adds at least TS[n] - TS[k] when it is entered no earlier than in
    the incumbent.  A candidate whose bound reaches total is skipped before
-   its window walk.  */
+   its window walk.  The tail term is added with a select, like step's
+   tardiness: whether e reaches C[k] depends on the data.  */
 static inline i64 lower_bound(const job_t *J, const i64 *C, const i64 *TS, i64 lo, i64 hi,
                               i64 x1, i64 x2, i64 k, i64 c, i64 t, i64 n)
 {
@@ -112,9 +122,7 @@ static inline i64 lower_bound(const job_t *J, const i64 *C, const i64 *TS, i64 l
         e = fin(J, x2, e);
         t += tard(J, x2, e);
     }
-    if (e >= C[k])
-        t += TS[n] - TS[k];
-    return t;
+    return t + (e >= C[k] ? TS[n] - TS[k] : 0);
 }
 
 /* Finish a candidate over the unchanged positions k..n-1, entered at

@@ -21,6 +21,7 @@ looked up as a module global at call time, so a caller may wrap one with
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 from dataclasses import dataclass, field, fields
@@ -43,6 +44,12 @@ _FIELD_TYPES = {
     "instances": str, "gen_sizes": int, "gen_seed": int, "methods": str, "replications": int,
     "seed": int, "output": str, "iter_max": int, "iter_nip": int,
 }
+
+
+def _json_key(name: str) -> str:
+    """A field's key in a JSON config: the generator's fields sit in
+    "generate", without the prefix."""
+    return f"generate.{name[4:]}" if name.startswith("gen_") else name
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,9 @@ class ExperimentConfig:
                 isinstance(v, bool) or not isinstance(v, kind) for v in items
             ):
                 what = f"a list of {kind.__name__}" if listed else kind.__name__
-                raise ValueError(f"config field {name!r} must be {what} (got {value!r})")
+                raise ValueError(
+                    f"config field {_json_key(name)!r} must be {what} (got {value!r})"
+                )
             if listed:
                 object.__setattr__(self, name, tuple(value))
         if self.replications < 1:
@@ -85,11 +94,13 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
-        # a repeated entry would run the same cell twice and write its row twice
-        for name, what in (("methods", "method"), ("gen_sizes", "size"), ("instances", "path")):
+        # a repeated entry would run the same cell twice and write its row
+        # twice; two spellings of one path name the same file
+        for name, what in (("methods", "method"), ("gen_sizes", "size"), ("instances", "file")):
             value = getattr(self, name)
-            if len(set(value)) != len(value):
-                raise ValueError(f"{name} {list(value)} name a {what} more than once")
+            keys = [os.path.realpath(v) for v in value] if name == "instances" else value
+            if len(set(keys)) != len(value):
+                raise ValueError(f"{_json_key(name)} {list(value)} name a {what} more than once")
         if not self.instances and not self.gen_sizes:
             raise ValueError("config needs instance paths or generation sizes")
         SearchParams(iter_max=self.iter_max, iter_nip=self.iter_nip)  # raises once, not per cell

@@ -34,7 +34,9 @@ class SearchParams:
     The run stops once the iteration count exceeds ``iter_max`` or the
     number of consecutive non-improving iterations exceeds ``iter_nip``;
     more than ``gamma`` = iter_nip // 2 iterations without improvement
-    trigger the perturbation, so iter_nip must be at least 2.
+    trigger the perturbation, so iter_nip must be at least 2.  All three
+    fields must be ints; anything else, a bool included, raises a
+    ValueError naming the field.
     """
 
     iter_max: int = 500
@@ -42,6 +44,12 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iter_max", "iter_nip", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True would seed another stream
+            # than 1 and be reported as True
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int (got {value!r})")
         if not 2 <= self.iter_nip <= self.iter_max:
             raise ValueError("iter_nip must satisfy 2 <= iter_nip <= iter_max")
 

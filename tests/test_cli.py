@@ -245,6 +245,18 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "generate, key",
+        [({"sizes": [8, 8]}, "generate.sizes"), ({"sizes": [8], "seed": "0"}, "generate.seed")],
+        ids=["repeated-size", "string-seed"],
+    )
+    def test_config_error_names_the_json_key(self, capsys, tmp_path, generate, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"generate": generate}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 1
+        assert key in err and "gen_" not in err
+
 
 class TestExportMilp:
     def test_matches_library_export(self, capsys, demo8_path, demo8):

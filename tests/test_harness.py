@@ -94,9 +94,15 @@ class TestExperimentConfig:
             {"gen_sizes": (8, 10, 8)},
             {"instances": ("x.json", "x.json")},
             {"instances": ("x.json",), "gen_sizes": (10, 10)},
+            # one file spelled two ways, relative to tmp_path
+            {"instances": ("a.json", "./a.json")},
+            {"instances": ("a.json", "sub/../a.json")},
+            {"instances": ("link.json", "a.json")},
         ],
     )
-    def test_invalid_rejected(self, kwargs):
+    def test_invalid_rejected(self, kwargs, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.json").symlink_to("a.json")
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steptardy import NEIGHBORHOOD_IDS, descend, generate_suite
+from steptardy import NEIGHBORHOOD_IDS, descend, edd_sequence, generate_suite, shake, vnd
 from steptardy import neighborhoods
 from steptardy.neighborhoods import _descend_kernel, _descend_python
 from steptardy.swsp import (
@@ -58,9 +58,12 @@ def test_kernel_loads_where_a_compiler_exists():
 
 
 @needs_compiler
-def test_kernel_compiles_without_warnings():
+def test_kernel_compiles_without_warnings(tmp_path):
+    # a full build with the loader's flags: warnings such as
+    # -Wmaybe-uninitialized come from the optimizer, which -fsyntax-only skips
     proc = subprocess.run(
-        COMPILER + ["-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(KERNEL_SOURCE)],
+        COMPILER + neighborhoods._KERNEL_FLAGS
+        + ["-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_kernel.so"), str(KERNEL_SOURCE)],
         capture_output=True,
         text=True,
     )
@@ -87,6 +90,28 @@ def test_parity_on_generated_instances(n):
                 rng.shuffle(seq)
                 python, kernel = _both(instance, seq, k)
                 assert kernel == python, (instance.name, seq, k)
+
+
+def _joint_local_optimum(instance):
+    seq = edd_sequence(instance)
+    while (better := vnd(instance, seq, NEIGHBORHOOD_IDS)) != seq:
+        seq = better
+    return seq
+
+
+@needs_kernel
+@pytest.mark.parametrize("instance", generate_suite([25], 0), ids=lambda inst: inst.name)
+def test_parity_one_shake_from_a_joint_local_optimum(instance):
+    """The regime GVNS runs in: a start one move from a local optimum of
+    every neighbourhood, where most candidates are refused part way
+    through their window walk."""
+    rng = random.Random(instance.name)
+    optimum = _joint_local_optimum(instance)
+    for k in NEIGHBORHOOD_IDS:
+        for _ in range(3):
+            seq = shake(optimum, k, rng)
+            python, kernel = _both(instance, seq, k)
+            assert kernel == python, (seq, k)
 
 
 @needs_kernel

@@ -47,10 +47,17 @@ class TestSearchParams:
             {"iter_nip": 0},
             {"iter_max": 10, "iter_nip": 20},
             {"iter_nip": 1},
+            # not an int: a bool would seed another stream than 1
+            {"seed": True},
+            {"seed": 1.0},
+            {"seed": "1"},
+            {"iter_max": 10.5, "iter_nip": 10},
+            {"iter_nip": 10.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        field = next(iter(kwargs))
+        with pytest.raises(ValueError, match=field):
             SearchParams(**kwargs)
 
 
