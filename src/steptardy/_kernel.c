@@ -1,14 +1,17 @@
 /* The hot loops of steptardy, in int64, loaded with ctypes.
 
-   - Local search: steptardy_descend runs a first-improvement descent to a
-     fixpoint of one of the five neighbourhoods.  The definition, and the
-     reference these scans are tested against, is in neighborhoods.py:
-     _moves lists the moves (i, j) in canonical order, _apply makes one, and
-     _descend_python accepts the first move that strictly lowers the total
-     tardiness and repeats until none does.  The scans below visit the same
-     moves in the same order but skip candidates that provably cannot beat
-     the incumbent (see lower_bound, tail_eval and scan_insertion), so they
-     accept the same first improving move and return the same sequence.
+   - Local search: one call of steptardy_descend is one whole local search.
+     It runs a first-improvement descent to a fixpoint of each neighbourhood
+     in a given order in turn (one neighbourhood for descend and VNS, all
+     five for VND) and returns the final total tardiness with the sequence.
+     The definition, and the reference these scans are tested against, is
+     in neighborhoods.py: _moves lists the moves (i, j) in canonical order,
+     _apply makes one, and _descend_python accepts the first move that
+     strictly lowers the total tardiness and repeats until none does.  The
+     scans below visit the same moves in the same order but skip candidates
+     that provably cannot beat the incumbent (see lower_bound, tail_eval and
+     scan_insertion), so they accept the same first improving move and
+     return the same sequence.
    - SWSP: line-for-line ports of swsp.py's weighted_search (with
      greedy_construct and _total) and pairwise_swap_pass.  The greedy scores
      are the same double expression, w1*d + w2*p + w3*h evaluated left to
@@ -320,19 +323,37 @@ static const scan_fn SCANS[] = {
     NULL, scan_swap, scan_insertion, scan_pair_exchange, scan_couple_insertion, scan_two_opt,
 };
 
-/* Descend seq in place to a local optimum of neighbourhood k (1..5).
-   Returns 0, -1 when out of memory, -2 for an unknown k.  */
-int steptardy_descend(const job_t *J, i64 n, i64 *seq, int k)
+/* Descend seq in place through the neighbourhoods order[0..m-1] (each in
+   1..5) in turn, each to its local optimum, and store the final total
+   tardiness in *total.  The prefixes are recomputed after each accepted
+   move only: a neighbourhood ends with a scan that moved nothing, so they
+   still describe seq when the next one starts.  Every accepted move must
+   lower the total, which also bounds the number of moves; a scan defect
+   that breaks this returns -3 with the neighbourhood in *total, instead of
+   looping for ever.  Returns 0, -1 when out of memory, -2 for an order
+   entry outside 1..5, -3 as above.  */
+int steptardy_descend(const job_t *J, i64 n, i64 *seq, const unsigned char *order, i64 m, i64 *total)
 {
-    if (k < 1 || k > 5)
-        return -2;
+    for (i64 r = 0; r < m; r++)
+        if (order[r] < 1 || order[r] > 5)
+            return -2;
     i64 *C = malloc((size_t)(n + 1) * 2 * sizeof *C);
     if (C == NULL)
         return -1;
     i64 *TS = C + n + 1;
-    do
-        prefix_state(seq, J, n, C, TS);
-    while (SCANS[k](seq, J, C, TS, TS[n], n));
+    prefix_state(seq, J, n, C, TS);
+    for (i64 r = 0; r < m; r++) {
+        while (SCANS[order[r]](seq, J, C, TS, TS[n], n)) {
+            i64 before = TS[n];
+            prefix_state(seq, J, n, C, TS);
+            if (TS[n] >= before) {
+                free(C);
+                *total = order[r];
+                return -3;
+            }
+        }
+    }
+    *total = TS[n];
     free(C);
     return 0;
 }

@@ -13,6 +13,11 @@ in the paper; only the stopping rule and the seed are parameters.
 Each run draws from three independent substreams (shaking, descent order,
 perturbation) derived from the run seed, so identical parameters reproduce
 identical results, iteration counts included.
+
+An iteration's local search, a whole VND or one descent, is a single call
+of ``neighborhoods._local_search``, which returns the total tardiness with
+the sequence, so the loops evaluate only their start and each
+perturbation themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from random import Random
 from typing import Sequence
 
 from .core import Instance, RunResult, total_tardiness
-from .neighborhoods import NEIGHBORHOOD_IDS, descend, perturb_three_opt, shake
+from .neighborhoods import NEIGHBORHOOD_IDS, _local_search, perturb_three_opt, shake
 from .seeding import derive_seed
 
 
@@ -74,10 +79,7 @@ def vnd(instance: Instance, sequence: Sequence[int], order: Sequence[int]) -> li
     """
     if sorted(order) != sorted(NEIGHBORHOOD_IDS[: len(order)]):
         raise ValueError(f"order {list(order)} must be a permutation of 1..{len(order)}")
-    seq = list(sequence)
-    for k in order:
-        seq = descend(instance, seq, k)
-    return seq
+    return _local_search(instance, sequence, order)[0]
 
 
 def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
@@ -105,11 +107,9 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
     k = 1
     trace = []
     while True:
-        cand = shake(cur, k, rng_shake)
         order = list(NEIGHBORHOOD_IDS)
         rng_order.shuffle(order)
-        cand = vnd(instance, cand, order)
-        cand_val = total_tardiness(instance, cand)
+        cand, cand_val = _local_search(instance, shake(cur, k, rng_shake), order)
         if cand_val < cur_val:
             cur, cur_val = cand, cand_val
             iter2 = 0
@@ -159,9 +159,7 @@ def vns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
     k = 1
     trace = []
     while True:
-        cand = shake(cur, k, rng_shake)
-        cand = descend(instance, cand, k)
-        cand_val = total_tardiness(instance, cand)
+        cand, cand_val = _local_search(instance, shake(cur, k, rng_shake), (k,))
         if cand_val < cur_val:
             cur, cur_val = cand, cand_val
             iter2 = 0

@@ -11,7 +11,11 @@ Five neighborhood structures are provided, identified by the integers 1..5:
 ``descend`` runs a first-improvement local search to a fixpoint of one
 neighborhood, ``shake`` applies a single uniformly random move, and
 ``perturb_three_opt`` cuts the sequence at three points and reorders the
-trailing fragments without reversing any of them.
+trailing fragments without reversing any of them.  ``_local_search``
+descends through several neighborhoods in a given order, each to its
+fixpoint in turn, and returns the total tardiness with the sequence: it is
+``descend`` for one neighborhood, ``vnd`` for an order of all five, and the
+local search of every ``gvns`` and ``vns`` iteration.
 
 ``_moves`` lists a neighborhood's moves in the canonical scan order and
 ``_apply`` makes one; together they define every neighborhood.  A descent,
@@ -23,11 +27,12 @@ same first improving move (its comments say why), and also SWSP's weighted
 search and swap pass (see ``swsp``).  On first import it is compiled with
 the C compiler Python was built with into this package's ``__pycache__``,
 under a name keyed by the hash of its source, the compile flags and the
-interpreter, and loaded with ctypes.  ``descend`` runs it whenever it
-loaded and the instance has integer values small enough for int64
+interpreter, and loaded with ctypes.  ``_local_search`` runs the whole
+chain of descents in one kernel call whenever the kernel loaded and the
+instance has integer values small enough for int64
 (``Instance._int64_rows``); otherwise it runs ``_descend_python``, the
-definition itself, which stays the reference.  Both return the same
-sequence.
+definition itself, which stays the reference, for each neighborhood in
+turn.  Both return the same sequence and total.
 """
 
 from __future__ import annotations
@@ -154,12 +159,13 @@ def _load_kernel():
         if not library.exists():
             return None, failure.read_text()
         kernel = ctypes.CDLL(str(library))
-        i64, seq, rows = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p
+        # read-only inputs (job rows, a neighborhood order, SWSP's weights)
+        # go as bytes; sequences go as int64 arrays written in place
+        i64, seq, data = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p
         for name, argtypes, restype in (
-            ("steptardy_descend", (rows, i64, seq, ctypes.c_int), ctypes.c_int),
-            ("steptardy_weighted_search",
-             (rows, i64, ctypes.POINTER(ctypes.c_double), i64, seq, seq), ctypes.c_int),
-            ("steptardy_pairwise_swap_pass", (rows, i64, seq), None),
+            ("steptardy_descend", (data, i64, seq, data, i64, seq), ctypes.c_int),
+            ("steptardy_weighted_search", (data, i64, data, i64, seq, seq), ctypes.c_int),
+            ("steptardy_pairwise_swap_pass", (data, i64, seq), None),
         ):
             function = getattr(kernel, name)
             function.argtypes = argtypes
@@ -186,12 +192,23 @@ def _int64_view(seq: array):
     return (ctypes.c_int64 * len(seq)).from_buffer(seq)
 
 
-def _descend_kernel(rows: bytes, sequence: Sequence[int], k: int) -> list[int]:
-    """``descend`` in the C kernel over ``Instance._int64_rows``."""
+def _descend_kernel(rows: bytes, sequence: Sequence[int], order: bytes) -> tuple[list[int], int]:
+    """``_local_search`` in the C kernel over ``Instance._int64_rows``: one
+    call for the whole order, one neighborhood id per byte."""
     seq = array("q", sequence)
-    if _kernel.steptardy_descend(rows, len(seq), _int64_view(seq), k) != 0:
+    total = ctypes.c_int64()
+    # ctypes passes total by reference, as argtypes declares an int64 pointer
+    code = _kernel.steptardy_descend(rows, len(seq), _int64_view(seq), order, len(order), total)
+    if code == -1:
         raise MemoryError("C kernel could not allocate its prefix arrays")
-    return seq.tolist()
+    if code == -2:
+        raise ValueError(f"neighborhood order {list(order)} has an entry outside 1..5")
+    if code == -3:
+        raise RuntimeError(
+            f"C kernel accepted a move of neighborhood {total.value} that did not"
+            " lower the total tardiness"
+        )
+    return seq.tolist(), total.value
 
 
 def _descend_python(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
@@ -210,6 +227,25 @@ def _descend_python(instance: Instance, sequence: Sequence[int], k: int) -> list
             return seq
 
 
+def _local_search(
+    instance: Instance, sequence: Sequence[int], order: Sequence[int]
+) -> tuple[list[int], int]:
+    """Descend through the neighborhoods in ``order`` in turn, each to its
+    fixpoint; returns the sequence and its total tardiness.
+
+    The caller has checked that ``order`` holds neighborhood ids; the
+    permutation is checked here, once, before any descent.
+    """
+    _check_permutation(instance, sequence)
+    rows = _kernel_rows(instance)
+    if rows is not None:
+        return _descend_kernel(rows, sequence, bytes(order))
+    seq = list(sequence)
+    for k in order:
+        seq = _descend_python(instance, seq, k)
+    return seq, total_tardiness(instance, seq)
+
+
 def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
     """First-improvement descent to a local optimum of neighborhood k.
 
@@ -220,11 +256,7 @@ def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
     """
     if k not in NEIGHBORHOOD_IDS:
         raise ValueError(f"unknown neighborhood {k}; expected one of {NEIGHBORHOOD_IDS}")
-    _check_permutation(instance, sequence)
-    rows = _kernel_rows(instance)
-    if rows is None:
-        return _descend_python(instance, sequence, k)
-    return _descend_kernel(rows, sequence, k)
+    return _local_search(instance, sequence, (k,))[0]
 
 
 def two_opt_move(sequence: Sequence[int], i: int, j: int) -> list[int]:

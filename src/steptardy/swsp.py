@@ -19,10 +19,10 @@ The Python code below stays the reference and the fallback.
 
 from __future__ import annotations
 
-import ctypes
 import time
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import neighborhoods
@@ -47,14 +47,16 @@ def weight_grid(n: int) -> list[WeightTriple]:
     l2 = 1..n, and w3 = 1 - w1 - w2 clamped to W3_FALLBACK when <= 0.  At
     n = 1 each ramp is its first point.
     """
-    w = _weights(n)
+    w = memoryview(_weights(n)).cast("d")
     return [WeightTriple(w[i], w[i + 1], w[i + 2]) for i in range(0, len(w), 3)]
 
 
-def _weights(n: int) -> array:
-    """The weights of ``weight_grid`` as one flat array of doubles, (w1, w2,
-    w3) for each triple in turn: what the C kernel reads, without building
-    n*n objects."""
+@lru_cache(maxsize=16)
+def _weights(n: int) -> bytes:
+    """The weights of ``weight_grid`` as native doubles, (w1, w2, w3) for
+    each triple in turn: what the C kernel reads, without building n*n
+    objects.  They depend on n alone, so they are cached per n, up to a
+    bound; bytes are immutable, so every caller can share them."""
     steps = max(n - 1, 1)
     weights = array("d")
     for l1 in range(1, n + 1):
@@ -65,7 +67,7 @@ def _weights(n: int) -> array:
             if w3 <= 0:
                 w3 = W3_FALLBACK
             weights.extend((w1, w2, w3))
-    return weights
+    return weights.tobytes()
 
 
 def greedy_construct(instance: Instance, triple: WeightTriple) -> list[int]:
@@ -147,19 +149,16 @@ def weighted_search(instance: Instance) -> tuple[list[int], int, list[int]]:
     rows = neighborhoods._kernel_rows(instance)
     if rows is None:
         return _weighted_search_python(instance, weight_grid(instance.n))
-    return _weighted_search_kernel(rows, instance.n, _weights(instance.n))
+    return _weighted_search_kernel(rows, instance.n)
 
 
-def _weighted_search_kernel(
-    rows: bytes, n: int, weights: array
-) -> tuple[list[int], int, list[int]]:
+def _weighted_search_kernel(rows: bytes, n: int) -> tuple[list[int], int, list[int]]:
     """``weighted_search`` in the C kernel, over ``_weights``."""
-    m = len(weights) // 3
+    m = n * n
     seq = array("q", [0]) * n
     trace = array("q", [0]) * m
-    grid = (ctypes.c_double * len(weights)).from_buffer(weights)
     views = neighborhoods._int64_view(seq), neighborhoods._int64_view(trace)
-    if neighborhoods._kernel.steptardy_weighted_search(rows, n, grid, m, *views) != 0:
+    if neighborhoods._kernel.steptardy_weighted_search(rows, n, _weights(n), m, *views) != 0:
         raise MemoryError("C kernel could not allocate its greedy arrays")
     return seq.tolist(), trace[-1], trace.tolist()
 

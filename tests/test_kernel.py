@@ -1,13 +1,15 @@
 """The C kernel against the Python reference, and when each one runs.
 
-``descend``, SWSP's ``weighted_search`` and ``pairwise_swap_pass`` run
-``_kernel.c`` when it built and the instance fits int64, and their Python
-code otherwise.  The two must return the same result for every input.  A
+``_local_search`` (behind ``descend``, ``vnd``, ``gvns`` and ``vns``),
+SWSP's ``weighted_search`` and ``pairwise_swap_pass`` run ``_kernel.c``
+when it built and the instance fits int64, and their Python code
+otherwise.  The two must return the same result for every input.  A
 kernel that silently failed to build would make every search some 70-100x
 slower (a default GVNS run at n=25 and n=50 on one core), so its absence is
 a failure wherever a C compiler exists, and so is a compiler warning in it.
 """
 
+import ctypes
 import importlib
 import os
 import random
@@ -15,13 +17,23 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from array import array
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steptardy import NEIGHBORHOOD_IDS, descend, edd_sequence, generate_suite, shake, vnd
+from steptardy import (
+    NEIGHBORHOOD_IDS,
+    descend,
+    edd_sequence,
+    generate_suite,
+    shake,
+    total_tardiness,
+    vnd,
+)
 from steptardy import neighborhoods
 from steptardy.neighborhoods import _descend_kernel, _descend_python
 from steptardy.swsp import (
@@ -29,7 +41,6 @@ from steptardy.swsp import (
     _pairwise_swap_pass_python,
     _weighted_search_kernel,
     _weighted_search_python,
-    _weights,
     pairwise_swap_pass,
     weight_grid,
     weighted_search,
@@ -71,9 +82,34 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 
 def _both(instance, seq, k):
+    """(Python, kernel) results of one descent: each the sequence and its
+    total, which for the kernel is the total it returned."""
     python = _descend_python(instance, seq, k)
-    kernel = _descend_kernel(instance._int64_rows, seq, k)
-    return python, kernel
+    return (python, total_tardiness(instance, python)), _chain_kernel(instance, seq, [k])
+
+
+def _chain_kernel(instance, seq, order):
+    """The kernel's local search through ``order``, its total checked
+    against a Python evaluation of its sequence."""
+    found, total = _descend_kernel(instance._int64_rows, seq, bytes(order))
+    assert total == total_tardiness(instance, found)
+    return found, total
+
+
+def _chains_python(instance, seq):
+    """The Python local search from seq for each of the 120 orders of the
+    five neighborhoods, as {order: (sequence, total)}; orders that share a
+    prefix share its descents."""
+    reached = {(): list(seq)}
+    for order in permutations(NEIGHBORHOOD_IDS):
+        for r in range(1, len(order) + 1):
+            if order[:r] not in reached:
+                reached[order[:r]] = _descend_python(instance, reached[order[: r - 1]], order[r - 1])
+    return {
+        order: (found, total_tardiness(instance, found))
+        for order, found in reached.items()
+        if len(order) == len(NEIGHBORHOOD_IDS)
+    }
 
 
 @needs_kernel
@@ -90,6 +126,18 @@ def test_parity_on_generated_instances(n):
                 rng.shuffle(seq)
                 python, kernel = _both(instance, seq, k)
                 assert kernel == python, (instance.name, seq, k)
+
+
+@needs_kernel
+@pytest.mark.parametrize("instance", generate_suite([8, 10], 0), ids=lambda inst: inst.name)
+def test_local_search_parity_on_every_order(instance):
+    """One kernel call descends through a whole neighborhood order, as VND
+    does, and returns the same sequence and total as the Python descents
+    run one after another, for each of the 120 orders."""
+    rng = random.Random(instance.name)
+    for seq in (edd_sequence(instance), rng.sample(range(1, instance.n + 1), instance.n)):
+        for order, python in _chains_python(instance, seq).items():
+            assert _chain_kernel(instance, seq, order) == python, (seq, order)
 
 
 def _joint_local_optimum(instance):
@@ -112,6 +160,13 @@ def test_parity_one_shake_from_a_joint_local_optimum(instance):
             seq = shake(optimum, k, rng)
             python, kernel = _both(instance, seq, k)
             assert kernel == python, (seq, k)
+            # and GVNS's local search: a VND in a random order
+            order = rng.sample(NEIGHBORHOOD_IDS, len(NEIGHBORHOOD_IDS))
+            python = seq
+            for j in order:
+                python = _descend_python(instance, python, j)
+            kernel = _chain_kernel(instance, seq, order)
+            assert kernel == (python, total_tardiness(instance, python)), (seq, order)
 
 
 @needs_kernel
@@ -184,9 +239,62 @@ def test_missing_kernel_takes_python_path(monkeypatch, demo8):
 
 
 @needs_kernel
-def test_sequence_checked_before_the_kernel(demo8):
-    with pytest.raises(ValueError):
-        descend(demo8, [1, 2, 3, 4, 5, 6, 7, 9], 1)
+def test_sequence_checked_before_the_kernel(monkeypatch, demo8):
+    monkeypatch.setattr(neighborhoods, "_descend_kernel", _no_kernel)
+    seq = [8, 7, 6, 5, 4, 3, 2, 1]
+    for call in (
+        lambda: descend(demo8, [1, 2, 3, 4, 5, 6, 7, 9], 1),
+        lambda: descend(demo8, [1, 2, 3, 4, 5, 6, 7, 7], 1),
+        lambda: descend(demo8, seq, 0),
+        lambda: descend(demo8, seq, 6),
+        lambda: vnd(demo8, [1, 2, 3, 4, 5, 6, 7, 9], NEIGHBORHOOD_IDS),
+        lambda: vnd(demo8, seq, [1, 2, 2, 4, 5]),
+        lambda: vnd(demo8, seq, [1, 2, 3, 4, 6]),
+        lambda: vnd(demo8, seq, [0]),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+@needs_kernel
+@pytest.mark.parametrize("order", [b"\x00", b"\x06", b"\x01\x02\xff", b"\x05\x07"])
+def test_kernel_refuses_an_unknown_neighborhood(demo8, order):
+    seq = [8, 7, 6, 5, 4, 3, 2, 1]
+    buf = array("q", seq)
+    total = ctypes.c_int64(-7)
+    code = neighborhoods._kernel.steptardy_descend(
+        demo8._int64_rows, len(seq), neighborhoods._int64_view(buf), order, len(order), total
+    )
+    # refused before any descent: nothing moved, nothing written
+    assert (code, buf.tolist(), total.value) == (-2, seq, -7)
+    with pytest.raises(ValueError, match="outside 1..5"):
+        _descend_kernel(demo8._int64_rows, seq, order)
+
+
+class _FailingKernel:
+    """A stand-in for the library whose descent fails with ``code`` and
+    writes ``k`` to the total, as the kernel does on -3."""
+
+    def __init__(self, code, k):
+        self.code, self.k = code, k
+
+    def steptardy_descend(self, rows, n, seq, order, m, total):
+        total.value = self.k
+        return self.code
+
+
+@pytest.mark.parametrize(
+    "code, error, message",
+    [
+        (-1, MemoryError, "could not allocate"),
+        (-2, ValueError, "outside 1..5"),
+        (-3, RuntimeError, "neighborhood 4 that did not lower"),
+    ],
+)
+def test_kernel_failures_raise_their_own_errors(monkeypatch, demo8, code, error, message):
+    monkeypatch.setattr(neighborhoods, "_kernel", _FailingKernel(code, 4))
+    with pytest.raises(error, match=message):
+        _descend_kernel(demo8._int64_rows, [8, 7, 6, 5, 4, 3, 2, 1], bytes([2, 4]))
 
 
 @needs_kernel
@@ -197,7 +305,7 @@ def test_kernel_buffers_refuse_what_int64_cannot_hold(seq, error):
     # the int64 buffer is built before any C call, so nothing reaches the kernel
     rows = make_instance([(1, 0, 0, 0), (2, 0, 0, 0)])._int64_rows
     with pytest.raises(error):
-        _descend_kernel(rows, seq, 1)
+        _descend_kernel(rows, seq, b"\x01")
     with pytest.raises(error):
         _pairwise_swap_pass_kernel(rows, seq)
 
@@ -213,7 +321,7 @@ def _swsp_both(instance, seq):
         _pairwise_swap_pass_python(instance, found[0]),
     )
     kernel = (
-        _weighted_search_kernel(rows, instance.n, _weights(instance.n)),
+        _weighted_search_kernel(rows, instance.n),
         _pairwise_swap_pass_kernel(rows, seq),
         _pairwise_swap_pass_kernel(rows, found[0]),
     )

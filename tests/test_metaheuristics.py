@@ -15,7 +15,7 @@ from steptardy import (
     vnd,
     vns,
 )
-from steptardy import metaheuristics
+from steptardy import neighborhoods
 
 from conftest import instances, make_instance, random_instance
 
@@ -83,7 +83,10 @@ class TestVnd:
             seen.append(k)
             return list(seq)
 
-        monkeypatch.setattr(metaheuristics, "descend", spy)
+        # the Python path runs one descent per neighborhood; the kernel's
+        # order is checked against it in test_kernel.py
+        monkeypatch.setattr(neighborhoods, "_kernel", None)
+        monkeypatch.setattr(neighborhoods, "_descend_python", spy)
         vnd(demo8, [1, 2, 3, 4, 5, 6, 7, 8], [3, 1, 2, 5, 4])
         assert seen == [3, 1, 2, 5, 4]
 
