@@ -9,15 +9,18 @@
      _apply makes one, and _descend_python accepts the first move that
      strictly lowers the total tardiness and repeats until none does.  The
      scans below visit the same moves in the same order but skip candidates
-     that provably cannot beat the incumbent (see lower_bound, tail_eval and
-     scan_insertion), so they accept the same first improving move and
-     return the same sequence.
-   - SWSP: line-for-line ports of swsp.py's weighted_search (with
-     greedy_construct and _total) and pairwise_swap_pass.  The greedy scores
-     are the same double expression, w1*d + w2*p + w3*h evaluated left to
-     right from the weights Python computed, so every comparison and
-     tie-break matches.  The build passes -ffp-contract=off: a fused
-     multiply-add would round differently.
+     that provably cannot beat the incumbent (see lower_bound, tail_eval,
+     scan_insertion and scan_two_opt), so they accept the same first
+     improving move and return the same sequence.
+   - SWSP: swsp.py's weighted_search and pairwise_swap_pass.  The swap pass
+     is a line-for-line port.  The weighted search builds the same greedy
+     sequences as greedy_construct, which stays the reference, but finds
+     each pick from two sorted orders instead of a scan over every
+     unscheduled job; steptardy_weighted_search gives the argument.  The
+     greedy scores are the same double expression, w1*d + w2*p + w3*h
+     evaluated left to right from the weights Python computed, so every
+     comparison and tie-break matches.  The build passes -ffp-contract=off:
+     a fused multiply-add would round differently.
 
    Jobs are rows (a, a + b, d, h) indexed by job id; row 0 is unused.  The
    caller guarantees that seq is a permutation of 1..n, that b >= 0 for
@@ -294,16 +297,36 @@ static int scan_couple_insertion(i64 *seq, const job_t *J, const i64 *C, const i
     return 0;
 }
 
+/* Row i reverses seq[i+1..j], entered at C[i+1].  Candidate j's window is
+   seq[j] followed by candidate j-1's window, which it therefore enters
+   later; by the lemma that window then adds at least the same tardiness
+   and ends at least as much later.  (e, w) is a lower bound on the end and
+   the tardiness of the current window entered at C[i+1], chained from one
+   j to the next, and exact after a full window walk.  Every later j
+   contains the current window, entered later, so once TS[i+1] + w or a
+   walk's running tardiness reaches total, the row ends.  A candidate whose
+   window provably ends at or after C[j+1] is skipped when the tail's
+   incumbent tardiness already takes it to total.  */
 static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
 {
     for (i64 i = 0; i < n - 3; i++) {
-        for (i64 j = i + 3; j < n; j++) {
+        i64 e = C[i + 2], w = TS[i + 2] - TS[i + 1];
+        for (i64 j = i + 2; j < n; j++) {
+            i64 c0 = fin(J, seq[j], C[i + 1]);
+            w += tard(J, seq[j], c0);
+            e += c0 - C[i + 1];
+            if (TS[i + 1] + w >= total)
+                break;
+            if (j < i + 3 || (e >= C[j + 1] && TS[i + 1] + w + TS[n] - TS[j + 1] >= total))
+                continue;
             i64 c = C[i + 1], t = TS[i + 1], k;
             for (k = j; k > i; k--)
                 if (step(J, seq[k], &c, &t, total))
                     break;
             if (k > i)
-                continue;
+                break;
+            e = c;
+            w = t - TS[i + 1];
             if (tail_eval(seq, J, C, TS, j + 1, c, t, total, n) >= 0) {
                 for (i64 lo = i + 1, hi = j; lo < hi; lo++, hi--) {
                     i64 x = seq[lo];
@@ -358,7 +381,7 @@ int steptardy_descend(const job_t *J, i64 n, i64 *seq, const unsigned char *orde
     return 0;
 }
 
-/* SWSP.  _total: the total tardiness of a whole sequence.  */
+/* SWSP.  The total tardiness of a whole sequence, for the swap pass.  */
 static i64 total_of(const i64 *seq, const job_t *J, i64 n)
 {
     i64 c = 0, t = 0;
@@ -371,63 +394,135 @@ static i64 total_of(const i64 *seq, const job_t *J, i64 n)
     return t;
 }
 
-/* greedy_construct for the weights w = (w1, w2, w3).  left (n entries) and
-   key (2 * (n + 1)) are scratch.  A job's score takes one of two values,
-   for p = a and p = a + b; both are computed up front by the same
-   expression the Python evaluates at each step.  The unscheduled jobs stay
-   in increasing id order, so a strict < keeps the smaller id on a tie.  */
-static void greedy_construct(const job_t *J, i64 n, const double *w, i64 *seq, i64 *left, double *key)
+/* (kx, x) comes before (ky, y) in the greedy's order: the smaller score,
+   and the smaller id on a tie, as greedy_construct's (key, j) tuples
+   compare.  */
+static inline int before(double kx, i64 x, double ky, i64 y)
 {
-    double *key_a = key, *key_ab = key + n + 1;
-    for (i64 j = 1; j <= n; j++) {
-        key_a[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].a + w[2] * (double)J[j].h;
-        key_ab[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].ab + w[2] * (double)J[j].h;
+    return kx < ky || (kx == ky && x < y);
+}
+
+/* Insertion sort of the jobs ord[0..m-1] by (key, id).  That is a strict
+   order, so the result does not depend on the order ord starts in, and an
+   order carried over from a neighbouring weight triple is nearly sorted.  */
+static void sort_by_key(i64 *ord, const double *key, i64 m)
+{
+    for (i64 r = 1; r < m; r++) {
+        i64 x = ord[r], q = r;
+        for (; q > 0 && before(key[x], x, key[ord[q - 1]], ord[q - 1]); q--)
+            ord[q] = ord[q - 1];
+        ord[q] = x;
     }
-    i64 first = 1;
-    for (i64 j = 2; j <= n; j++)
-        if (J[j].d < J[first].d)
-            first = j;
-    i64 m = 0;
-    for (i64 j = 1; j <= n; j++)
-        if (j != first)
-            left[m++] = j;
-    seq[0] = first;
-    i64 c = J[first].a; /* the first start is 0 <= h for any h >= 0 */
-    for (i64 k = 1; k < n; k++) {
-        i64 best = 0;
-        double best_key = 0.0;
-        for (i64 i = 0; i < m; i++) {
-            i64 j = left[i];
-            double kj = c <= J[j].h ? key_a[j] : key_ab[j];
-            if (i == 0 || kj < best_key) {
-                best_key = kj;
-                best = i;
-            }
-        }
-        i64 nxt = left[best];
-        memmove(left + best, left + best + 1, (size_t)(m - best - 1) * sizeof *left);
-        m--;
-        seq[k] = nxt;
-        c += c <= J[nxt].h ? J[nxt].a : J[nxt].ab;
-    }
+}
+
+/* Bitsets over order positions, in 64-bit words.  */
+static inline int has(const uint64_t *bits, i64 q)
+{
+    return bits[q >> 6] >> (q & 63) & 1;
+}
+
+static inline void flip(uint64_t *bits, i64 q)
+{
+    bits[q >> 6] ^= (uint64_t)1 << (q & 63);
+}
+
+/* The job at the lowest set bit of bits (nw words) over the positions of
+   ord, or 0 when no bit is set.  */
+static inline i64 head(const uint64_t *bits, i64 nw, const i64 *ord)
+{
+    for (i64 q = 0; q < nw; q++)
+        if (bits[q])
+            return ord[64 * q + __builtin_ctzll(bits[q])];
+    return 0;
 }
 
 /* weighted_search over the m triples of grid (w1, w2, w3 each), n >= 1:
    best_seq gets the first sequence that reaches the best total, trace[t]
-   the best total after triple t.  Returns 0, or -1 when out of memory.  */
+   the best total after triple t.  Returns 0, or -1 when out of memory.
+
+   Each step of greedy_construct appends the unscheduled job with the
+   smallest (score, id), where a job's score is key_a while the completion
+   time c <= h and key_ab after.  c only grows, so a job switches from
+   key_a to key_ab once and never back.  The r = n - 1 jobs after the first
+   (the smallest due date, the smaller id on a tie, whatever the weights)
+   are kept in two orders, ord_a by (key_a, id) and ord_ab by (key_ab, id),
+   with two bitsets over their positions: A holds the unscheduled jobs with
+   c <= h and B those with c > h.  by_h lists the jobs by h, so each one
+   moves from A to B as c passes its h.  The lowest set bit of A is the
+   smallest (score, id) among A's jobs, and likewise for B, so the smaller
+   of the two heads is the job the scan would pick.  The orders are carried
+   from one triple to the next and sorted again.  */
 int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
 {
-    i64 *seq = malloc((size_t)n * 2 * sizeof *seq);
-    double *key = malloc((size_t)(n + 1) * 2 * sizeof *key);
-    if (seq == NULL || key == NULL) {
+    i64 r = n - 1, nw = r / 64 + 1;
+    i64 *seq = malloc((size_t)(n + 3 * r + 2 * (n + 1)) * sizeof *seq);
+    double *key_a = malloc((size_t)(n + 1) * 2 * sizeof *key_a);
+    uint64_t *A = malloc((size_t)nw * 2 * sizeof *A);
+    if (seq == NULL || key_a == NULL || A == NULL) {
         free(seq);
-        free(key);
+        free(key_a);
+        free(A);
         return -1;
     }
-    i64 *left = seq + n, best_val = 0;
+    i64 *ord_a = seq + n, *ord_ab = ord_a + r, *by_h = ord_ab + r;
+    i64 *pos_a = by_h + r, *pos_ab = pos_a + n + 1;
+    double *key_ab = key_a + n + 1;
+    uint64_t *B = A + nw;
+    i64 first = 1;
+    for (i64 j = 2; j <= n; j++)
+        if (J[j].d < J[first].d)
+            first = j;
+    for (i64 j = 1, q = 0; j <= n; j++) {
+        if (j != first) {
+            ord_a[q] = ord_ab[q] = by_h[q] = j;
+            q++;
+        }
+    }
+    /* by h; the order among equal h does not matter */
+    for (i64 q = 1; q < r; q++) {
+        i64 x = by_h[q], s = q;
+        for (; s > 0 && J[by_h[s - 1]].h > J[x].h; s--)
+            by_h[s] = by_h[s - 1];
+        by_h[s] = x;
+    }
+    i64 best_val = 0;
     for (i64 t = 0; t < m; t++) {
-        greedy_construct(J, n, grid + 3 * t, seq, left, key);
-        i64 val = total_of(seq, J, n);
+        const double *w = grid + 3 * t;
+        for (i64 j = 1; j <= n; j++) {
+            key_a[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].a + w[2] * (double)J[j].h;
+            key_ab[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].ab + w[2] * (double)J[j].h;
+        }
+        sort_by_key(ord_a, key_a, r);
+        sort_by_key(ord_ab, key_ab, r);
+        memset(A, 0, (size_t)nw * 2 * sizeof *A);
+        for (i64 q = 0; q < r; q++) {
+            pos_a[ord_a[q]] = q;
+            pos_ab[ord_ab[q]] = q;
+            flip(A, q);
+        }
+        seq[0] = first;
+        i64 c = J[first].a; /* the first start is 0 <= h for any h >= 0 */
+        i64 val = tard(J, first, c), moved = 0;
+        for (i64 k = 1; k < n; k++) {
+            for (; moved < r && J[by_h[moved]].h < c; moved++) {
+                i64 x = by_h[moved];
+                if (has(A, pos_a[x])) {
+                    flip(A, pos_a[x]);
+                    flip(B, pos_ab[x]);
+                }
+            }
+            i64 xa = head(A, nw, ord_a), xb = head(B, nw, ord_ab), x;
+            if (xb == 0 || (xa != 0 && before(key_a[xa], xa, key_ab[xb], xb))) {
+                x = xa;
+                flip(A, pos_a[x]);
+            } else {
+                x = xb;
+                flip(B, pos_ab[x]);
+            }
+            seq[k] = x;
+            c = fin(J, x, c);
+            val += tard(J, x, c);
+        }
         if (t == 0 || val < best_val) {
             memcpy(best_seq, seq, (size_t)n * sizeof *seq);
             best_val = val;
@@ -435,7 +530,8 @@ int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, 
         trace[t] = best_val;
     }
     free(seq);
-    free(key);
+    free(key_a);
+    free(A);
     return 0;
 }
 

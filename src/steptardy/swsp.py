@@ -8,12 +8,18 @@ constructed sequence is then polished by one pairwise-swap improvement
 pass.  The grid's bounds are the paper's, fixed as ``W1_MIN`` through
 ``W3_FALLBACK``.
 
-The n*n triples cost O(n^2) each, so the weighted search is O(n^4).  It and
-the swap pass run in the C kernel of ``neighborhoods`` (``_kernel.c``)
-under the same conditions as ``descend``: the kernel loaded and the
-instance fits int64.  ``_weights`` computes the weights for both paths
-(``weight_grid`` wraps them in ``WeightTriple``s), and the C scores are the
-same double expression, so both return the same sequence, value and trace.
+Here each greedy step scans every unscheduled job, so each of the n*n
+triples costs O(n^2) and the weighted search O(n^4).  It and the swap pass
+run in the C kernel of ``neighborhoods`` (``_kernel.c``) under the same
+conditions as ``descend``: the kernel loaded and the instance fits int64.
+The kernel keeps the jobs in two orders by score, one for each processing
+time, carried from one triple to the next and sorted again, and takes each
+pick from their heads.  A step then reads n/64 words instead of n jobs,
+and the sort moves a job only past those whose order the step to the next
+triple reversed, few for neighbouring triples.  ``_weights`` computes the
+weights for both paths (``weight_grid`` wraps them in ``WeightTriple``s),
+and the C scores are the same double expression, so both return the same
+sequence, value and trace.
 The Python code below stays the reference and the fallback.
 """
 

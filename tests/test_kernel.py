@@ -22,7 +22,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steptardy import (
@@ -354,8 +354,18 @@ def equal_jobs(draw):
     return make_instance(rows), list(seq)
 
 
+# 65 jobs of two kinds, past one 64-bit word of the kernel's greedy: at some
+# weight triples one kind's score before its deteriorating date equals the
+# other's after it, so the kernel's two candidate heads tie on score and the
+# smaller id must win; within a kind only the id orders the jobs
+TWO_KINDS_65 = make_instance(
+    [random.Random(65).choice([(3, 3, 19, 9), (1, 3, 11, 12)]) for _ in range(65)]
+)
+
+
 @needs_kernel
 @settings(max_examples=200, deadline=None)
+@example((TWO_KINDS_65, list(range(65, 0, -1))))
 @given(st.one_of(
     equal_jobs(),
     tied_cases(),
@@ -366,6 +376,16 @@ def test_swsp_parity_with_ties(case):
     instance, seq = case
     python, kernel = _swsp_both(instance, seq)
     assert kernel == python
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_weighted_search_parity_at_the_bitset_word_boundary(n):
+    # the kernel's greedy keeps its n - 1 candidate jobs in 64-bit words
+    instance = generate_suite([n], 0)[0]
+    assert _weighted_search_kernel(instance._int64_rows, n) == _weighted_search_python(
+        instance, weight_grid(n)
+    )
 
 
 @needs_kernel
