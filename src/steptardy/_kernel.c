@@ -8,10 +8,13 @@
      in neighborhoods.py: _moves lists the moves (i, j) in canonical order,
      _apply makes one, and _descend_python accepts the first move that
      strictly lowers the total tardiness and repeats until none does.  The
-     scans below visit the same moves in the same order but skip candidates
-     that provably cannot beat the incumbent (see lower_bound, tail_eval,
-     scan_insertion and scan_two_opt), so they accept the same first
-     improving move and return the same sequence.
+     four block neighbourhoods are two move shapes over a block of L = 1 or
+     2 adjacent jobs: scan_exchange (swap, pairwise exchange) and scan_shift
+     (insertion, couple insertion); two-opt has scan_two_opt.  The scans
+     visit the same moves in the same order but skip candidates that
+     provably cannot beat the incumbent (see lower_bound, tail_eval,
+     scan_shift and scan_two_opt), so they accept the same first improving
+     move and return the same sequence.
    - SWSP: swsp.py's weighted_search and pairwise_swap_pass.  The swap pass
      is a line-for-line port.  The weighted search builds the same greedy
      sequences as greedy_construct, which stays the reference, but finds
@@ -49,20 +52,6 @@
 typedef int64_t i64;
 typedef struct { i64 a, ab, d, h; } job_t;
 
-static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS)
-{
-    i64 c = 0, t = 0;
-    C[0] = TS[0] = 0;
-    for (i64 k = 0; k < n; k++) {
-        const job_t *x = &J[seq[k]];
-        c += c <= x->h ? x->a : x->ab;
-        if (c > x->d)
-            t += c - x->d;
-        C[k + 1] = c;
-        TS[k + 1] = t;
-    }
-}
-
 /* The completion of job x started at s, and its tardiness at completion c.  */
 static inline i64 fin(const job_t *J, i64 x, i64 s)
 {
@@ -72,6 +61,15 @@ static inline i64 fin(const job_t *J, i64 x, i64 s)
 static inline i64 tard(const job_t *J, i64 x, i64 c)
 {
     return c > J[x].d ? c - J[x].d : 0;
+}
+
+static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS)
+{
+    C[0] = TS[0] = 0;
+    for (i64 k = 0; k < n; k++) {
+        C[k + 1] = fin(J, seq[k], C[k]);
+        TS[k + 1] = TS[k] + tard(J, seq[k], C[k + 1]);
+    }
 }
 
 /* Append job x at (*c, *t).  Nonzero when *t has reached total: the
@@ -96,13 +94,19 @@ static inline int step(const job_t *J, i64 x, i64 *c, i64 *t, i64 total)
     return *t >= total;
 }
 
-/* Open a window with job x after a prefix ending at (c0, t0).  Nonzero when
-   the candidate is already no better than total.  */
-static inline int start(const job_t *J, i64 x, i64 c0, i64 t0, i64 *c, i64 *t, i64 total)
+/* Append the jobs seq[lo..hi-1] in turn; nonzero as soon as a step is.  */
+static inline int walk(const i64 *seq, const job_t *J, i64 lo, i64 hi, i64 *c, i64 *t, i64 total)
 {
-    *c = fin(J, x, c0);
-    *t = t0 + tard(J, x, *c);
-    return *t >= total;
+    for (; lo < hi; lo++)
+        if (step(J, seq[lo], c, t, total))
+            return 1;
+    return 0;
+}
+
+/* Append a block: job x, then job y unless y is 0.  */
+static inline int put(const job_t *J, i64 x, i64 y, i64 *c, i64 *t, i64 total)
+{
+    return step(J, x, c, t, total) || (y && step(J, y, c, t, total));
 }
 
 /* A lower bound, in O(1), on the total of a candidate that has reached
@@ -152,33 +156,30 @@ static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS
         if (t + TS[n] - TS[k] >= total)
             return -1;
     }
-    for (; k < n; k++)
-        if (step(J, seq[k], &c, &t, total))
-            return -1;
+    if (walk(seq, J, k, n, &c, &t, total))
+        return -1;
     return t < total ? t : -1;
 }
 
 /* Each scan applies the first improving move to seq in place and returns
-   1, or returns 0 when seq is a local optimum.  */
+   1, or returns 0 when seq is a local optimum.  A block is kept as its
+   first job and its second, or 0 when L = 1.  */
 
-static int scan_swap(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+/* Exchange the blocks at i and j >= i + L: the window is the block at j,
+   the stretch i+L..j-1, then the block at i.  */
+static int scan_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n, i64 L)
 {
-    for (i64 i = 0; i < n - 1; i++) {
-        i64 xi = seq[i];
-        for (i64 j = i + 1; j < n; j++) {
-            i64 xj = seq[j], c, t, k;
-            if (start(J, xj, C[i], TS[i], &c, &t, total))
+    for (i64 i = 0; i + 2 * L <= n; i++) {
+        i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
+        for (i64 j = i + L; j + L <= n; j++) {
+            i64 c = C[i], t = TS[i];
+            if (put(J, seq[j], L == 2 ? seq[j + 1] : 0, &c, &t, total)
+                || (c >= C[i + L] && lower_bound(J, C, TS, i + L, j, blk[0], blk[1], j + L, c, t, n) >= total)
+                || walk(seq, J, i + L, j, &c, &t, total) || put(J, blk[0], blk[1], &c, &t, total))
                 continue;
-            if (c >= C[i + 1] && lower_bound(J, C, TS, i + 1, j, xi, 0, j + 1, c, t, n) >= total)
-                continue;
-            for (k = i + 1; k < j; k++)
-                if (step(J, seq[k], &c, &t, total))
-                    break;
-            if (k < j || step(J, xi, &c, &t, total))
-                continue;
-            if (tail_eval(seq, J, C, TS, j + 1, c, t, total, n) >= 0) {
-                seq[i] = xj;
-                seq[j] = xi;
+            if (tail_eval(seq, J, C, TS, j + L, c, t, total, n) >= 0) {
+                memcpy(seq + i, seq + j, (size_t)L * sizeof *seq);
+                memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
             }
         }
@@ -186,110 +187,39 @@ static int scan_swap(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 
     return 0;
 }
 
-static int scan_insertion(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+/* Move the block at i so that it starts at j != i.  */
+static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n, i64 L)
 {
-    for (i64 i = 0; i < n; i++) {
-        i64 xi = seq[i];
+    for (i64 i = 0; i + L <= n; i++) {
+        i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
+        /* Targets before i: the block enters first, so the window starts
+           after C[j] (a >= 1) and lower_bound needs no guard.  */
         for (i64 j = 0; j < i; j++) {
-            i64 c = C[j], t = TS[j], k;
-            /* xi enters first, so the window starts after C[j] (a >= 1)
-               and lower_bound needs no guard; likewise for the couple */
-            if (step(J, xi, &c, &t, total)
-                || lower_bound(J, C, TS, j, i, 0, 0, i + 1, c, t, n) >= total)
+            i64 c = C[j], t = TS[j];
+            if (put(J, blk[0], blk[1], &c, &t, total)
+                || lower_bound(J, C, TS, j, i, 0, 0, i + L, c, t, n) >= total
+                || walk(seq, J, j, i, &c, &t, total))
                 continue;
-            for (k = j; k < i; k++)
-                if (step(J, seq[k], &c, &t, total))
-                    break;
-            if (k < i)
-                continue;
-            if (tail_eval(seq, J, C, TS, i + 1, c, t, total, n) >= 0) {
-                memmove(seq + j + 1, seq + j, (size_t)(i - j) * sizeof *seq);
-                seq[j] = xi;
+            if (tail_eval(seq, J, C, TS, i + L, c, t, total, n) >= 0) {
+                memmove(seq + j + L, seq + j, (size_t)(i - j) * sizeof *seq);
+                memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
             }
         }
-        /* Targets after i share the window prefix seq[i+1..j], started at
-           C[i]: one running state serves the row.  Every later target
+        /* Targets after i share the window prefix seq[i+L..j+L-1], started
+           at C[i]: one running state serves the row.  Every later target
            keeps that prefix and its tardiness, so once it reaches total no
            later target can improve and the row ends.  */
         i64 c_run = C[i], t_run = TS[i];
-        for (i64 j = i + 1; j < n; j++) {
-            i64 c, t;
-            if (step(J, seq[j], &c_run, &t_run, total))
+        for (i64 j = i + 1; j + L <= n; j++) {
+            if (step(J, seq[j + L - 1], &c_run, &t_run, total))
                 break;
-            if (start(J, xi, c_run, t_run, &c, &t, total))
+            i64 c = c_run, t = t_run;
+            if (put(J, blk[0], blk[1], &c, &t, total))
                 continue;
-            if (tail_eval(seq, J, C, TS, j + 1, c, t, total, n) >= 0) {
-                memmove(seq + i, seq + i + 1, (size_t)(j - i) * sizeof *seq);
-                seq[j] = xi;
-                return 1;
-            }
-        }
-    }
-    return 0;
-}
-
-static int scan_pair_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
-{
-    for (i64 i = 0; i < n - 3; i++) {
-        i64 xi = seq[i], xi1 = seq[i + 1];
-        for (i64 j = i + 2; j < n - 1; j++) {
-            i64 xj = seq[j], xj1 = seq[j + 1], c, t, k;
-            if (start(J, xj, C[i], TS[i], &c, &t, total) || step(J, xj1, &c, &t, total))
-                continue;
-            if (c >= C[i + 2] && lower_bound(J, C, TS, i + 2, j, xi, xi1, j + 2, c, t, n) >= total)
-                continue;
-            for (k = i + 2; k < j; k++)
-                if (step(J, seq[k], &c, &t, total))
-                    break;
-            if (k < j || step(J, xi, &c, &t, total) || step(J, xi1, &c, &t, total))
-                continue;
-            if (tail_eval(seq, J, C, TS, j + 2, c, t, total, n) >= 0) {
-                seq[i] = xj;
-                seq[i + 1] = xj1;
-                seq[j] = xi;
-                seq[j + 1] = xi1;
-                return 1;
-            }
-        }
-    }
-    return 0;
-}
-
-static int scan_couple_insertion(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
-{
-    for (i64 i = 0; i < n - 1; i++) {
-        i64 xi = seq[i], xi1 = seq[i + 1];
-        for (i64 j = 0; j < i; j++) {
-            i64 c = C[j], t = TS[j], k;
-            if (step(J, xi, &c, &t, total) || step(J, xi1, &c, &t, total)
-                || lower_bound(J, C, TS, j, i, 0, 0, i + 2, c, t, n) >= total)
-                continue;
-            for (k = j; k < i; k++)
-                if (step(J, seq[k], &c, &t, total))
-                    break;
-            if (k < i)
-                continue;
-            if (tail_eval(seq, J, C, TS, i + 2, c, t, total, n) >= 0) {
-                memmove(seq + j + 2, seq + j, (size_t)(i - j) * sizeof *seq);
-                seq[j] = xi;
-                seq[j + 1] = xi1;
-                return 1;
-            }
-        }
-        /* targets after i share the window prefix seq[i+2..j+1]; the row
-           ends for the same reason as in scan_insertion */
-        i64 c_run = C[i], t_run = TS[i];
-        for (i64 j = i + 1; j < n - 1; j++) {
-            i64 c, t;
-            if (step(J, seq[j + 1], &c_run, &t_run, total))
-                break;
-            if (start(J, xi, c_run, t_run, &c, &t, total) || step(J, xi1, &c, &t, total))
-                continue;
-            if (tail_eval(seq, J, C, TS, j + 2, c, t, total, n) >= 0) {
-                memmove(seq + i, seq + i + 2, (size_t)(j - i) * sizeof *seq);
-                seq[j] = xi;
-                seq[j + 1] = xi1;
+            if (tail_eval(seq, J, C, TS, j + L, c, t, total, n) >= 0) {
+                memmove(seq + i, seq + i + L, (size_t)(j - i) * sizeof *seq);
+                memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
             }
         }
@@ -307,8 +237,9 @@ static int scan_couple_insertion(i64 *seq, const job_t *J, const i64 *C, const i
    walk's running tardiness reaches total, the row ends.  A candidate whose
    window provably ends at or after C[j+1] is skipped when the tail's
    incumbent tardiness already takes it to total.  */
-static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n)
+static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n, i64 L)
 {
+    (void)L;
     for (i64 i = 0; i < n - 3; i++) {
         i64 e = C[i + 2], w = TS[i + 2] - TS[i + 1];
         for (i64 j = i + 2; j < n; j++) {
@@ -340,10 +271,13 @@ static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i
     return 0;
 }
 
-typedef int (*scan_fn)(i64 *, const job_t *, const i64 *, const i64 *, i64, i64);
-
-static const scan_fn SCANS[] = {
-    NULL, scan_swap, scan_insertion, scan_pair_exchange, scan_couple_insertion, scan_two_opt,
+/* Neighbourhood k's scan and block length: swap, insertion, pairwise
+   exchange, couple insertion, two-opt.  */
+static const struct {
+    int (*scan)(i64 *, const job_t *, const i64 *, const i64 *, i64, i64, i64);
+    i64 L;
+} SCANS[] = {
+    {NULL, 0}, {scan_exchange, 1}, {scan_shift, 1}, {scan_exchange, 2}, {scan_shift, 2}, {scan_two_opt, 0},
 };
 
 /* Descend seq in place through the neighbourhoods order[0..m-1] (each in
@@ -366,7 +300,7 @@ int steptardy_descend(const job_t *J, i64 n, i64 *seq, const unsigned char *orde
     i64 *TS = C + n + 1;
     prefix_state(seq, J, n, C, TS);
     for (i64 r = 0; r < m; r++) {
-        while (SCANS[order[r]](seq, J, C, TS, TS[n], n)) {
+        while (SCANS[order[r]].scan(seq, J, C, TS, TS[n], n, SCANS[order[r]].L)) {
             i64 before = TS[n];
             prefix_state(seq, J, n, C, TS);
             if (TS[n] >= before) {
@@ -386,10 +320,8 @@ static i64 total_of(const i64 *seq, const job_t *J, i64 n)
 {
     i64 c = 0, t = 0;
     for (i64 k = 0; k < n; k++) {
-        const job_t *x = &J[seq[k]];
-        c += c <= x->h ? x->a : x->ab;
-        if (c > x->d)
-            t += c - x->d;
+        c = fin(J, seq[k], c);
+        t += tard(J, seq[k], c);
     }
     return t;
 }

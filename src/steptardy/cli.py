@@ -22,12 +22,10 @@ import sys
 import time
 
 from .core import evaluate_schedule, instance_to_json, load_instance
-from .exact import branch_and_bound, brute_force
 from .generator import GenSpec, generate_instance
-from .harness import METHODS, ExperimentConfig, render_markdown, run_benchmark
-from .metaheuristics import SearchParams, gvns, vns
+from .harness import METHODS, ExperimentConfig, render_markdown, run_benchmark, solve
+from .metaheuristics import SearchParams
 from .milp import build_model, export_lp
-from .swsp import swsp
 
 
 def _parse_sequence(text: str) -> list[int]:
@@ -66,26 +64,29 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _search_lines(res) -> list[str]:
+    return [f"iterations {res.iterations}", f"perturbations {res.perturbations}", f"seed {res.seed}"]
+
+
+# the lines ``solve`` prints after the value and the sequence, by method
+_SOLVE_LINES = {
+    "bb": lambda res: [f"labels {res.nodes_explored}", f"proven {str(res.proven).lower()}"],
+    "exact": lambda res: [f"optima {res.optimal_set_size}"],
+    "gvns": _search_lines,
+    "swsp": lambda res: [f"iterations {res.iterations}"],
+    "vns": _search_lines,
+}
+
+
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
+    params = SearchParams(iter_max=args.iter_max, iter_nip=args.iter_nip, seed=args.seed)
     t0 = time.perf_counter()
-    if args.method == "exact":
-        res = brute_force(instance)
-        extra = [f"optima {res.optimal_set_size}"]
-    elif args.method == "bb":
-        res = branch_and_bound(instance)
-        extra = [f"labels {res.nodes_explored}", f"proven {str(res.proven).lower()}"]
-    elif args.method == "swsp":
-        res = swsp(instance)
-        extra = [f"iterations {res.iterations}"]
-    else:
-        params = SearchParams(iter_max=args.iter_max, iter_nip=args.iter_nip, seed=args.seed)
-        res = (gvns if args.method == "gvns" else vns)(instance, params)
-        extra = [f"iterations {res.iterations}", f"perturbations {res.perturbations}",
-                 f"seed {res.seed}"]
+    res = solve(instance, args.method, params)
     elapsed = time.perf_counter() - t0
     sequence = ",".join(map(str, res.best_sequence))
-    print("\n".join([f"value {res.best_value}", f"sequence {sequence}", *extra]))
+    lines = [f"value {res.best_value}", f"sequence {sequence}", *_SOLVE_LINES[args.method](res)]
+    print("\n".join(lines))
     print(f"elapsed {elapsed:.2f}s", file=sys.stderr)
     return 0
 

@@ -126,7 +126,12 @@ class RunResult:
 
 def _check_permutation(instance: Instance, sequence: Sequence[int]) -> None:
     n = instance.n
-    if len(sequence) != n or set(sequence) != instance._ids:
+    # 1.0 and True equal (and hash as) 1, so the set test alone lets them in
+    if (
+        len(sequence) != n
+        or set(sequence) != instance._ids
+        or any(type(j) is not int for j in sequence)
+    ):
         raise ValueError(
             f"sequence {list(sequence)} is not a permutation of 1..{n}"
         )

@@ -1,6 +1,7 @@
 """Experiment orchestration: metrics, benchmark runs and CSV reporting.
 
-``METHODS`` is the one list of method names, for ``bench`` and ``solve``.
+``METHODS`` is the one list of method names and ``solve`` the one place
+that runs a method, for ``bench`` and the CLI's ``solve``.
 A benchmark runs a set of methods over a set of instances.  Deterministic
 methods (exact enumeration, branch and bound, the weighted search
 procedure) run once per instance; stochastic methods (vns, gvns) run R
@@ -33,7 +34,13 @@ from .generator import generate_suite
 from .metaheuristics import SearchParams, gvns, vns
 from .swsp import swsp
 
-METHODS = ("bb", "exact", "gvns", "swsp", "vns")
+# each method's solver, by its name in this module; the searches also take
+# SearchParams
+_SOLVERS = {
+    "bb": "branch_and_bound", "exact": "brute_force", "gvns": "gvns", "swsp": "swsp", "vns": "vns",
+}
+_SEARCHES = ("gvns", "vns")
+METHODS = tuple(_SOLVERS)
 CSV_HEADER = "group,n,method,best,mean,rpd_pct,mad_pct,time_s"
 
 _GROUP_RE = re.compile(r"^(S_\d\d)_n\d+_s\d+$")
@@ -178,21 +185,26 @@ def group_of(instance: Instance) -> str:
     return instance.name or f"n{instance.n}"
 
 
+def solve(instance: Instance, method: str, params: SearchParams):
+    """Run one of ``METHODS`` on the instance; ``params`` is used by gvns
+    and vns only.
+
+    The solver is looked up as a module global at call time and called
+    positionally, with the instance alone or, for a search, the instance and
+    ``params``.  An exact solver refuses n above its size cap with a
+    ValueError.
+    """
+    solver = globals()[_SOLVERS[method]]
+    return solver(instance, params) if method in _SEARCHES else solver(instance)
+
+
 def _run_cell(instance: Instance, method: str, config: ExperimentConfig):
-    """All replication (value, sequence, seconds) triples for one cell; an
-    exact solver refuses n above its size cap with a ValueError."""
+    """All replication (value, sequence, seconds) triples for one cell."""
     runs = []
-    for r in range(config.replications if method in ("gvns", "vns") else 1):
+    for r in range(config.replications if method in _SEARCHES else 1):
+        params = SearchParams(config.iter_max, config.iter_nip, seed=config.seed + r)
         t0 = time.perf_counter()
-        if method == "exact":
-            res = brute_force(instance)
-        elif method == "bb":
-            res = branch_and_bound(instance)
-        elif method == "swsp":
-            res = swsp(instance)
-        else:
-            params = SearchParams(config.iter_max, config.iter_nip, seed=config.seed + r)
-            res = (gvns if method == "gvns" else vns)(instance, params)
+        res = solve(instance, method, params)
         runs.append((res.best_value, res.best_sequence, time.perf_counter() - t0))
     for value, seq, _ in runs:
         check = evaluate_schedule(instance, seq).total

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .core import Instance, RunResult, total_tardiness
+from .core import Instance, RunResult, _check_permutation, total_tardiness
 from .neighborhoods import NEIGHBORHOOD_IDS, _local_search, perturb_three_opt, shake
 from .seeding import derive_seed
 
@@ -79,6 +79,7 @@ def vnd(instance: Instance, sequence: Sequence[int], order: Sequence[int]) -> li
     """
     if sorted(order) != sorted(NEIGHBORHOOD_IDS[: len(order)]):
         raise ValueError(f"order {list(order)} must be a permutation of 1..{len(order)}")
+    _check_permutation(instance, sequence)
     return _local_search(instance, sequence, order)[0]
 
 

@@ -8,6 +8,11 @@ Five neighborhood structures are provided, identified by the integers 1..5:
 4. couple insertion: move an adjacent couple to another couple position
 5. two-opt: reverse the segment between two positions at least 3 apart
 
+The first four are two move shapes over a block of ``_BLOCK[k]`` = L
+adjacent jobs: swap and pairwise exchange exchange two disjoint blocks, and
+insertion and couple insertion shift one block to another start, with
+L = 1 and L = 2 respectively.
+
 ``descend`` runs a first-improvement local search to a fixpoint of one
 neighborhood, ``shake`` applies a single uniformly random move, and
 ``perturb_three_opt`` cuts the sequence at three points and reorders the
@@ -22,17 +27,17 @@ local search of every ``gvns`` and ``vns`` iteration.
 by definition, takes the first move in that order whose result has a
 strictly lower total tardiness, and repeats until none has.
 
-``_kernel.c`` runs that descent in int64 with pruned scans that keep the
-same first improving move (its comments say why), and also SWSP's weighted
-search and swap pass (see ``swsp``).  On first import it is compiled with
-the C compiler Python was built with into this package's ``__pycache__``,
-under a name keyed by the hash of its source, the compile flags and the
-interpreter, and loaded with ctypes.  ``_local_search`` runs the whole
-chain of descents in one kernel call whenever the kernel loaded and the
-instance has integer values small enough for int64
-(``Instance._int64_rows``); otherwise it runs ``_descend_python``, the
-definition itself, which stays the reference, for each neighborhood in
-turn.  Both return the same sequence and total.
+``_kernel.c`` runs that descent in int64 with one pruned scan per move
+shape, each keeping the same first improving move (its comments say why),
+and also SWSP's weighted search and swap pass (see ``swsp``).  On first
+import it is compiled with the C compiler Python was built with into this
+package's ``__pycache__``, under a name keyed by the hash of its source,
+the compile flags and the interpreter, and loaded with ctypes.
+``_local_search`` runs the whole chain of descents in one kernel call
+whenever the kernel loaded and the instance has integer values small
+enough for int64 (``Instance._int64_rows``); otherwise it runs
+``_descend_python``, the definition itself, which stays the reference, for
+each neighborhood in turn.  Both return the same sequence and total.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ PAIR_EXCHANGE = 3
 COUPLE_INSERTION = 4
 TWO_OPT = 5
 NEIGHBORHOOD_IDS = (SWAP, INSERTION, PAIR_EXCHANGE, COUPLE_INSERTION, TWO_OPT)
+# the block length L of each neighborhood that exchanges or shifts blocks
+_BLOCK = {SWAP: 1, INSERTION: 1, PAIR_EXCHANGE: 2, COUPLE_INSERTION: 2}
+_EXCHANGES = (SWAP, PAIR_EXCHANGE)
 
 _FRAGMENT_ORDERS = tuple(p for p in permutations((0, 1, 2)) if p != (0, 1, 2))
 
@@ -70,37 +78,33 @@ def _moves(k: int, n: int) -> tuple[tuple[int, int], ...]:
     empty when n is too short for the neighborhood.  It is cached per (k, n),
     up to a bound, because ``shake`` draws one move from it per call.
     """
-    if k == SWAP:
-        return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
-    if k == INSERTION:
-        return tuple((i, j) for i in range(n) for j in range(n) if j != i)
-    if k == PAIR_EXCHANGE:
-        return tuple((i, j) for i in range(n - 3) for j in range(i + 2, n - 1))
-    if k == COUPLE_INSERTION:
-        return tuple((i, j) for i in range(n - 1) for j in range(n - 1) if j != i)
-    return tuple((i, j) for i in range(n - 3) for j in range(i + 3, n))
+    if k == TWO_OPT:
+        return tuple((i, j) for i in range(n - 3) for j in range(i + 3, n))
+    block = _BLOCK[k]
+    m = n + 1 - block  # the positions a block can start at
+    if k in _EXCHANGES:
+        return tuple((i, j) for i in range(m - block) for j in range(i + block, m))
+    return tuple((i, j) for i in range(m) for j in range(m) if j != i)
 
 
 def _apply(sequence: Sequence[int], k: int, i: int, j: int) -> list[int]:
     """A copy of the sequence after move (i, j) of neighborhood k.
 
-    swap exchanges positions i and j; insertion moves the job at i to j;
-    pairwise exchange swaps the couples at i and j; couple insertion moves
-    the couple at i so that it starts at j; two-opt reverses i+1..j.
+    With L = ``_BLOCK[k]``: swap and pairwise exchange exchange the blocks
+    of L jobs at i and j; insertion and couple insertion move the block at i
+    so that it starts at j; two-opt reverses i+1..j.
     """
     new = list(sequence)
-    if k == SWAP:
-        new[i], new[j] = new[j], new[i]
-    elif k == INSERTION:
-        new.insert(j, new.pop(i))
-    elif k == PAIR_EXCHANGE:
-        new[i], new[i + 1], new[j], new[j + 1] = new[j], new[j + 1], new[i], new[i + 1]
-    elif k == COUPLE_INSERTION:
-        couple = new[i : i + 2]
-        del new[i : i + 2]
-        new[j:j] = couple
-    else:  # TWO_OPT
+    if k == TWO_OPT:
         new[i + 1 : j + 1] = new[i + 1 : j + 1][::-1]
+        return new
+    block = _BLOCK[k]
+    if k in _EXCHANGES:
+        new[i : i + block], new[j : j + block] = new[j : j + block], new[i : i + block]
+    else:
+        moved = new[i : i + block]
+        del new[i : i + block]
+        new[j:j] = moved
     return new
 
 
@@ -233,10 +237,12 @@ def _local_search(
     """Descend through the neighborhoods in ``order`` in turn, each to its
     fixpoint; returns the sequence and its total tardiness.
 
-    The caller has checked that ``order`` holds neighborhood ids; the
-    permutation is checked here, once, before any descent.
+    The caller has checked that ``order`` holds neighborhood ids and that
+    ``sequence`` is a permutation of the job ids: ``descend`` and ``vnd``
+    check what they are given, and ``gvns`` and ``vns`` pass only sequences
+    they made by moves from an EDD start, so their inner loop skips the
+    check.
     """
-    _check_permutation(instance, sequence)
     rows = _kernel_rows(instance)
     if rows is not None:
         return _descend_kernel(rows, sequence, bytes(order))
@@ -256,6 +262,7 @@ def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
     """
     if k not in NEIGHBORHOOD_IDS:
         raise ValueError(f"unknown neighborhood {k}; expected one of {NEIGHBORHOOD_IDS}")
+    _check_permutation(instance, sequence)
     return _local_search(instance, sequence, (k,))[0]
 
 
@@ -289,7 +296,7 @@ def shake(sequence: Sequence[int], k: int, rng: Random) -> list[int]:
         i, j = rng.sample(range(n), 2)
     elif k in (INSERTION, COUPLE_INSERTION):
         # a job or couple can start at any of m positions; draw two distinct
-        m = n if k == INSERTION else n - 1
+        m = n + 1 - _BLOCK[k]
         if m < 2:
             return list(sequence)
         i = rng.randrange(m)

@@ -158,6 +158,16 @@ class TestSolve:
         assert out1 == out2
         assert "elapsed" in err1  # timing goes to stderr only
 
+    @pytest.mark.parametrize("method", ["swsp", "gvns"])
+    def test_bad_stopping_rule_fails_cleanly(self, capsys, demo8_path, method):
+        # checked for every method, as a bench config's is
+        code, out, err = run_cli(
+            capsys, "solve", "--instance", str(demo8_path), "--method", method,
+            "--iter-max", "10", "--iter-nip", "20",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: iter_nip must satisfy")
+
     def test_vns_runs(self, capsys, demo8_path):
         code, out, _ = run_cli(
             capsys, "solve", "--instance", str(demo8_path), "--method", "vns",

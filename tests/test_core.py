@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steptardy import (
+    NEIGHBORHOOD_IDS,
     Instance,
     Job,
     brute_force,
     check_dominance,
+    descend,
     evaluate_schedule,
     instance_from_json,
     instance_to_json,
+    pairwise_swap_pass,
     total_tardiness,
+    vnd,
 )
 
 from conftest import instances, instances_with_sequence, make_instance
@@ -43,6 +47,25 @@ class TestEvaluateSchedule:
     def test_rejects_non_permutations(self, demo8, bad):
         with pytest.raises(ValueError):
             evaluate_schedule(demo8, bad)
+
+    @pytest.mark.parametrize(
+        "bad", [[8.0, 7, 6, 5, 4, 3, 2, 1], [True, 2, 3, 4, 5, 6, 7, 8]], ids=["float", "bool"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            evaluate_schedule,
+            lambda instance, seq: descend(instance, seq, 1),
+            lambda instance, seq: vnd(instance, seq, NEIGHBORHOOD_IDS),
+            pairwise_swap_pass,
+        ],
+        ids=["evaluate_schedule", "descend", "vnd", "pairwise_swap_pass"],
+    )
+    def test_rejects_ids_that_are_not_ints(self, demo8, bad, call):
+        # 8.0 and True compare and hash equal to 8 and 1, so they pass a set
+        # test; they must be refused like any other broken sequence
+        with pytest.raises(ValueError, match="is not a permutation"):
+            call(demo8, bad)
 
     @given(instances_with_sequence())
     def test_no_idle_chain(self, case):

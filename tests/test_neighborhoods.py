@@ -74,6 +74,18 @@ def naive_descend(instance, seq, k):
             return seq
 
 
+@pytest.mark.parametrize("k", NEIGHBORHOOD_IDS)
+def test_moves_and_apply_list_the_oracle_candidates(k):
+    """``_moves`` and ``_apply`` write four neighborhoods as two block shapes
+    with loop bounds in the block length; the oracle above writes out each
+    neighborhood on its own.  ``shake`` draws pairwise exchange and two-opt
+    moves from this list."""
+    for n in range(1, 10):
+        seq = list(range(1, n + 1))
+        moves = neighborhoods._moves(k, n)
+        assert [neighborhoods._apply(seq, k, i, j) for i, j in moves] == neighborhood_moves(seq, k)
+
+
 class TestTwoOptMove:
     def test_definitional_reversal(self):
         assert two_opt_move([1, 2, 3, 4, 5], 1, 4) == [1, 4, 3, 2, 5]
