@@ -1,4 +1,5 @@
-/* The hot loops of steptardy, in int64, loaded with ctypes.
+/* The hot loops of steptardy, in int64, as the CPython extension module
+   steptardy._kernel.
 
    - Local search: one call of steptardy_descend is one whole local search.
      It runs a first-improvement descent to a fixpoint of each neighbourhood
@@ -43,8 +44,11 @@
    - if c != C[k], the shift keeps its sign and never shrinks, so
      completion times never resynchronise inside the stretch.
 
-   Built and loaded by neighborhoods.py on first import.  */
+   Built and imported by neighborhoods.py on first import; the Python entry
+   points are at the end of this file.  */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -289,7 +293,7 @@ static const struct {
    that breaks this returns -3 with the neighbourhood in *total, instead of
    looping for ever.  Returns 0, -1 when out of memory, -2 for an order
    entry outside 1..5, -3 as above.  */
-int steptardy_descend(const job_t *J, i64 n, i64 *seq, const unsigned char *order, i64 m, i64 *total)
+static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const unsigned char *order, i64 m, i64 *total)
 {
     for (i64 r = 0; r < m; r++)
         if (order[r] < 1 || order[r] > 5)
@@ -384,7 +388,7 @@ static inline i64 head(const uint64_t *bits, i64 nw, const i64 *ord)
    smallest (score, id) among A's jobs, and likewise for B, so the smaller
    of the two heads is the job the scan would pick.  The orders are carried
    from one triple to the next and sorted again.  */
-int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
+static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
 {
     i64 r = n - 1, nw = r / 64 + 1;
     i64 *seq = malloc((size_t)(n + 3 * r + 2 * (n + 1)) * sizeof *seq);
@@ -469,7 +473,7 @@ int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, 
 
 /* pairwise_swap_pass in place: every ordered pair i != j, a swap kept only
    when it strictly lowers the total.  */
-void steptardy_pairwise_swap_pass(const job_t *J, i64 n, i64 *seq)
+static void steptardy_pairwise_swap_pass(const job_t *J, i64 n, i64 *seq)
 {
     i64 best = total_of(seq, J, n);
     for (i64 i = 0; i < n; i++) {
@@ -488,4 +492,226 @@ void steptardy_pairwise_swap_pass(const job_t *J, i64 n, i64 *seq)
             }
         }
     }
+}
+
+/* The Python entry points.  Each reads its arguments into C arrays, calls
+   one function above and builds its result, so it never writes to the
+   caller's objects.  rows is Instance._int64_rows: bytes holding one row
+   per job id 0..N.  A sequence or an order is a list or a tuple of ints
+   (PySequence_Fast copies any other sequence into a list); an entry that
+   is not an int raises TypeError, and one past int64 OverflowError.  Job
+   ids must lie in 1..N, so no argument makes a function read outside the
+   rows; whether a sequence is a permutation is for the Python callers to
+   check.  */
+
+/* The job rows in rows, with the largest job id in *last; NULL with an
+   exception set unless rows is bytes of whole rows.  */
+static const job_t *job_rows(PyObject *rows, i64 *last)
+{
+    Py_ssize_t size = PyBytes_Check(rows) ? PyBytes_GET_SIZE(rows) : 0;
+    if (size == 0 || size % (Py_ssize_t)sizeof(job_t) != 0) {
+        PyErr_SetString(PyExc_TypeError, "rows must be bytes of int64 rows (a, a + b, d, h) by job id");
+        return NULL;
+    }
+    *last = size / (Py_ssize_t)sizeof(job_t) - 1;
+    return (const job_t *)PyBytes_AS_STRING(rows);
+}
+
+/* The int x into *v; -1 with TypeError or OverflowError set.  Only an int
+   is read, so no Python code (an __index__) runs while a caller's list is
+   being read.  */
+static int int_of(PyObject *x, i64 *v)
+{
+    if (!PyLong_Check(x)) {
+        PyErr_Format(PyExc_TypeError, "expected an int, got %.100s", Py_TYPE(x)->tp_name);
+        return -1;
+    }
+    long long y = PyLong_AsLongLong(x);
+    if (y == -1 && PyErr_Occurred())
+        return -1;
+    *v = y;
+    return 0;
+}
+
+/* The entries of fast, from PySequence_Fast, into seq; -1 with an
+   exception set unless each is a job id in 1..last.  */
+static int job_ids(PyObject *fast, i64 *seq, i64 last)
+{
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(fast); k++) {
+        if (int_of(items[k], &seq[k]))
+            return -1;
+        if (seq[k] < 1 || seq[k] > last) {
+            PyErr_Format(PyExc_ValueError, "job id %lld outside 1..%lld", (long long)seq[k], (long long)last);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* A new list of v[0..n-1], or NULL with an exception set.  */
+static PyObject *list_of(const i64 *v, i64 n)
+{
+    PyObject *list = PyList_New(n);
+    for (i64 k = 0; list != NULL && k < n; k++) {
+        PyObject *x = PyLong_FromLongLong(v[k]);
+        if (x == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, k, x);
+    }
+    return list;
+}
+
+/* The tuple (a, b), taking over both references; NULL with an exception
+   set when either is NULL or the tuple cannot be made.  */
+static PyObject *pair(PyObject *a, PyObject *b)
+{
+    PyObject *t = a != NULL && b != NULL ? PyTuple_New(2) : NULL;
+    if (t == NULL) {
+        Py_XDECREF(a);
+        Py_XDECREF(b);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(t, 0, a);
+    PyTuple_SET_ITEM(t, 1, b);
+    return t;
+}
+
+static PyObject *py_descend(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "descend takes 3 arguments (%zd given)", nargs);
+    i64 last, total, *seq = NULL;
+    const job_t *J = job_rows(args[0], &last);
+    if (J == NULL)
+        return NULL;
+    PyObject *result = NULL;
+    PyObject *fast = PySequence_Fast(args[1], "sequence must be a sequence of job ids");
+    if (fast == NULL)
+        return NULL;
+    PyObject *order = PySequence_Fast(args[2], "order must be a sequence of neighborhood ids");
+    if (order == NULL)
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast), m = PySequence_Fast_GET_SIZE(order);
+    /* the sequence, then the order as one byte per neighborhood */
+    seq = PyMem_Malloc((size_t)n * sizeof *seq + (size_t)m);
+    if (seq == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (job_ids(fast, seq, last))
+        goto done;
+    unsigned char *ks = (unsigned char *)(seq + n);
+    for (Py_ssize_t r = 0; r < m; r++) {
+        i64 k;
+        if (int_of(PySequence_Fast_GET_ITEM(order, r), &k))
+            goto done;
+        /* steptardy_descend refuses 0, like any id outside 1..5 */
+        ks[r] = k >= 1 && k <= 5 ? (unsigned char)k : 0;
+    }
+    switch (steptardy_descend(J, n, seq, ks, m, &total)) {
+    case 0: {
+        PyObject *found = list_of(seq, n);
+        result = pair(found, found != NULL ? PyLong_FromLongLong(total) : NULL);
+        break;
+    }
+    case -1:
+        PyErr_SetString(PyExc_MemoryError, "C kernel could not allocate its prefix arrays");
+        break;
+    case -2:
+        PyErr_Format(PyExc_ValueError, "neighborhood order %R has an entry outside 1..5", args[2]);
+        break;
+    default:
+        PyErr_Format(PyExc_RuntimeError,
+                     "C kernel accepted a move of neighborhood %lld that did not lower the total tardiness",
+                     (long long)total);
+    }
+done:
+    PyMem_Free(seq);
+    Py_XDECREF(order);
+    Py_DECREF(fast);
+    return result;
+}
+
+static PyObject *py_weighted_search(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "weighted_search takes 3 arguments (%zd given)", nargs);
+    i64 last, n;
+    const job_t *J = job_rows(args[0], &last);
+    if (J == NULL || int_of(args[1], &n))
+        return NULL;
+    if (n < 1 || n > last)
+        return PyErr_Format(PyExc_ValueError, "n = %lld outside 1..%lld", (long long)n, (long long)last);
+    i64 m = n * n;
+    if (!PyBytes_Check(args[2]) || PyBytes_GET_SIZE(args[2]) != 3 * m * (Py_ssize_t)sizeof(double))
+        return PyErr_Format(PyExc_TypeError, "weights must be bytes of 3 * %lld doubles", (long long)m);
+    /* the best sequence, then the trace */
+    i64 *seq = PyMem_Malloc((size_t)(n + m) * sizeof *seq);
+    if (seq == NULL)
+        return PyErr_NoMemory();
+    PyObject *result = NULL;
+    if (steptardy_weighted_search(J, n, (const double *)PyBytes_AS_STRING(args[2]), m, seq, seq + n) != 0) {
+        PyErr_SetString(PyExc_MemoryError, "C kernel could not allocate its greedy arrays");
+    } else {
+        PyObject *best = list_of(seq, n);
+        result = pair(best, best != NULL ? list_of(seq + n, m) : NULL);
+    }
+    PyMem_Free(seq);
+    return result;
+}
+
+static PyObject *py_pairwise_swap_pass(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "pairwise_swap_pass takes 2 arguments (%zd given)", nargs);
+    i64 last;
+    const job_t *J = job_rows(args[0], &last);
+    if (J == NULL)
+        return NULL;
+    PyObject *fast = PySequence_Fast(args[1], "sequence must be a sequence of job ids");
+    if (fast == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    PyObject *result = NULL;
+    i64 *seq = PyMem_Malloc((size_t)n * sizeof *seq);
+    if (seq == NULL) {
+        PyErr_NoMemory();
+    } else if (job_ids(fast, seq, last) == 0) {
+        steptardy_pairwise_swap_pass(J, n, seq);
+        result = list_of(seq, n);
+    }
+    PyMem_Free(seq);
+    Py_DECREF(fast);
+    return result;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"descend", (PyCFunction)(void (*)(void))py_descend, METH_FASTCALL,
+     "descend(rows, sequence, order) -> (sequence, total)\n\n"
+     "Descend through the neighborhoods in order, each to its fixpoint."},
+    {"weighted_search", (PyCFunction)(void (*)(void))py_weighted_search, METH_FASTCALL,
+     "weighted_search(rows, n, weights) -> (sequence, trace)\n\n"
+     "SWSP's greedy over the n * n weight triples in weights."},
+    {"pairwise_swap_pass", (PyCFunction)(void (*)(void))py_pairwise_swap_pass, METH_FASTCALL,
+     "pairwise_swap_pass(rows, sequence) -> sequence\n\n"
+     "SWSP's swap pass, keeping each swap that lowers the total."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "steptardy._kernel",
+    .m_doc = "The C kernel of steptardy (_kernel.c).",
+    .m_size = 0,
+    .m_methods = kernel_methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModule_Create(&kernel_module);
 }

@@ -28,7 +28,13 @@ from random import Random
 from typing import Sequence
 
 from .core import Instance, RunResult, _check_permutation, total_tardiness
-from .neighborhoods import NEIGHBORHOOD_IDS, _local_search, perturb_three_opt, shake
+from .neighborhoods import (
+    NEIGHBORHOOD_IDS,
+    _check_neighborhood,
+    _local_search,
+    perturb_three_opt,
+    shake,
+)
 from .seeding import derive_seed
 
 
@@ -77,6 +83,8 @@ def vnd(instance: Instance, sequence: Sequence[int], order: Sequence[int]) -> li
     improve and the scan needs a single pass.  The result never has a
     larger total than the input.
     """
+    for k in order:
+        _check_neighborhood(k)
     if sorted(order) != sorted(NEIGHBORHOOD_IDS[: len(order)]):
         raise ValueError(f"order {list(order)} must be a permutation of 1..{len(order)}")
     _check_permutation(instance, sequence)

@@ -30,26 +30,27 @@ strictly lower total tardiness, and repeats until none has.
 ``_kernel.c`` runs that descent in int64 with one pruned scan per move
 shape, each keeping the same first improving move (its comments say why),
 and also SWSP's weighted search and swap pass (see ``swsp``).  On first
-import it is compiled with the C compiler Python was built with into this
-package's ``__pycache__``, under a name keyed by the hash of its source,
-the compile flags and the interpreter, and loaded with ctypes.
-``_local_search`` runs the whole chain of descents in one kernel call
-whenever the kernel loaded and the instance has integer values small
-enough for int64 (``Instance._int64_rows``); otherwise it runs
-``_descend_python``, the definition itself, which stays the reference, for
-each neighborhood in turn.  Both return the same sequence and total.
+import it is compiled, with the C compiler Python was built with and
+Python's headers, into this package's ``__pycache__`` under a name keyed
+by the hash of its source, the compile flags and the interpreter, and
+imported as the extension module ``steptardy._kernel``: its functions take
+and return lists of ints.  ``_local_search`` runs the whole chain of
+descents in one ``_kernel.descend`` call whenever the kernel loaded and
+the instance has integer values small enough for int64
+(``Instance._int64_rows``); otherwise it runs ``_descend_python``, the
+definition itself, which stays the reference, for each neighborhood in
+turn.  Both return the same sequence and total.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
 import os
 import sys
 import warnings
-from array import array
 from functools import lru_cache
+from importlib.machinery import ExtensionFileLoader, ModuleSpec
 from itertools import permutations
 from pathlib import Path
 from random import Random
@@ -68,6 +69,13 @@ _BLOCK = {SWAP: 1, INSERTION: 1, PAIR_EXCHANGE: 2, COUPLE_INSERTION: 2}
 _EXCHANGES = (SWAP, PAIR_EXCHANGE)
 
 _FRAGMENT_ORDERS = tuple(p for p in permutations((0, 1, 2)) if p != (0, 1, 2))
+
+
+def _check_neighborhood(k) -> None:
+    """Refuse anything but a neighborhood id, an int in ``NEIGHBORHOOD_IDS``:
+    a bool or a float that compares equal to one is refused too."""
+    if not (type(k) is int and k in NEIGHBORHOOD_IDS):
+        raise ValueError(f"unknown neighborhood {k!r}; expected one of {NEIGHBORHOOD_IDS}")
 
 
 @lru_cache(maxsize=64)
@@ -111,23 +119,36 @@ def _apply(sequence: Sequence[int], k: int, i: int, j: int) -> list[int]:
 _KERNEL_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
 
-def _build_kernel(source, library, failure):
-    """Compile ``source`` into ``library`` with the compiler Python was built
-    with, or write the compiler's stderr to ``failure``; then delete every
-    other build and failure."""
-    import subprocess
+def _kernel_command() -> list[str]:
+    """The command that compiles ``_kernel.c``, without its input and output:
+    the compiler Python was built with, ``_KERNEL_FLAGS`` and the directory
+    of Python's headers."""
     import sysconfig
+
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()
+    return [*compiler, *_KERNEL_FLAGS, "-I" + sysconfig.get_paths()["include"]]
+
+
+def _build_kernel(source, library, failure):
+    """Compile ``source`` into ``library`` with ``_kernel_command``, or write
+    why that failed (the compiler's stderr, or why it did not start) to
+    ``failure``; then delete every other build and failure."""
+    import subprocess
     import tempfile
 
-    command = (sysconfig.get_config_var("CC") or "cc").split() + _KERNEL_FLAGS
+    command = _kernel_command()
     library.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=library.parent)
     os.close(fd)
     try:
-        build = subprocess.run(command + ["-o", tmp, str(source)], capture_output=True, text=True)
-        if build.returncode != 0:
-            Path(tmp).write_text(f"{' '.join(command)} failed:\n{build.stderr}")
-        built = library if build.returncode == 0 else failure
+        try:
+            build = subprocess.run(command + ["-o", tmp, str(source)], capture_output=True, text=True)
+            error = build.stderr if build.returncode != 0 else None
+        except OSError as exc:  # no compiler: recorded like a failed build
+            error = f"{exc}\n"
+        if error is not None:
+            Path(tmp).write_text(f"{' '.join(command)} failed:\n{error}")
+        built = library if error is None else failure
         # a concurrent import sees either no file or a whole one
         os.replace(tmp, built)
     finally:
@@ -140,19 +161,28 @@ def _build_kernel(source, library, failure):
                 stale.unlink()
 
 
-def _load_kernel():
-    """Compile ``_kernel.c`` on a cache miss, delete older builds, and load it.
+def _import_kernel(library):
+    """The extension module built at ``library``, imported as
+    ``steptardy._kernel`` (its init function is ``PyInit__kernel``)."""
+    loader = ExtensionFileLoader("steptardy._kernel", str(library))
+    kernel = loader.create_module(ModuleSpec(loader.name, loader, origin=loader.path))
+    loader.exec_module(kernel)
+    return kernel
 
-    Returns (the library, None), or (None, the reason it is missing: the
+
+def _load_kernel():
+    """Compile ``_kernel.c`` on a cache miss, delete older builds, and import it.
+
+    Returns (the module, None), or (None, the reason it is missing: the
     compiler's stderr or the loader's error).  A failed build leaves its
     stderr in ``_kernel-<key>.err``, which later imports report without
     running the compiler again.  The key covers the source, the flags and
     the interpreter, so a change to any of them builds afresh.
     """
     source = Path(__file__).with_name("_kernel.c")
-    # The compiler is a build-time constant of the interpreter, so the
-    # interpreter's identity stands in for it: a cache hit needs no
-    # sysconfig, whose table would stay resident (~0.5 MB) for one string.
+    # The compiler and the header directory are build-time constants of the
+    # interpreter, so its identity stands in for them: a cache hit needs no
+    # sysconfig, whose table would stay resident (~0.5 MB) for two strings.
     identity = " ".join([sys.base_prefix, sys.version, *_KERNEL_FLAGS])
     try:
         key = hashlib.sha256(source.read_bytes() + identity.encode()).hexdigest()
@@ -162,21 +192,9 @@ def _load_kernel():
             _build_kernel(source, library, failure)
         if not library.exists():
             return None, failure.read_text()
-        kernel = ctypes.CDLL(str(library))
-        # read-only inputs (job rows, a neighborhood order, SWSP's weights)
-        # go as bytes; sequences go as int64 arrays written in place
-        i64, seq, data = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p
-        for name, argtypes, restype in (
-            ("steptardy_descend", (data, i64, seq, data, i64, seq), ctypes.c_int),
-            ("steptardy_weighted_search", (data, i64, data, i64, seq, seq), ctypes.c_int),
-            ("steptardy_pairwise_swap_pass", (data, i64, seq), None),
-        ):
-            function = getattr(kernel, name)
-            function.argtypes = argtypes
-            function.restype = restype
-    except (OSError, AttributeError) as exc:
+        return _import_kernel(library), None
+    except (OSError, ImportError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
-    return kernel, None
 
 
 _kernel, _KERNEL_ERROR = _load_kernel()
@@ -188,31 +206,6 @@ def _kernel_rows(instance: Instance) -> bytes | None:
     kernel indexes its rows by job id, so a caller passes it only a checked
     permutation."""
     return instance._int64_rows if _kernel is not None else None
-
-
-def _int64_view(seq: array):
-    """A ctypes int64 array over ``seq``'s buffer: the kernel reads and
-    writes it in place, with no copy."""
-    return (ctypes.c_int64 * len(seq)).from_buffer(seq)
-
-
-def _descend_kernel(rows: bytes, sequence: Sequence[int], order: bytes) -> tuple[list[int], int]:
-    """``_local_search`` in the C kernel over ``Instance._int64_rows``: one
-    call for the whole order, one neighborhood id per byte."""
-    seq = array("q", sequence)
-    total = ctypes.c_int64()
-    # ctypes passes total by reference, as argtypes declares an int64 pointer
-    code = _kernel.steptardy_descend(rows, len(seq), _int64_view(seq), order, len(order), total)
-    if code == -1:
-        raise MemoryError("C kernel could not allocate its prefix arrays")
-    if code == -2:
-        raise ValueError(f"neighborhood order {list(order)} has an entry outside 1..5")
-    if code == -3:
-        raise RuntimeError(
-            f"C kernel accepted a move of neighborhood {total.value} that did not"
-            " lower the total tardiness"
-        )
-    return seq.tolist(), total.value
 
 
 def _descend_python(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
@@ -245,7 +238,7 @@ def _local_search(
     """
     rows = _kernel_rows(instance)
     if rows is not None:
-        return _descend_kernel(rows, sequence, bytes(order))
+        return _kernel.descend(rows, sequence, order)
     seq = list(sequence)
     for k in order:
         seq = _descend_python(instance, seq, k)
@@ -260,8 +253,7 @@ def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:
     finds no improvement, so the result admits no improving k-move.  A
     neighborhood that is empty for this sequence length acts as identity.
     """
-    if k not in NEIGHBORHOOD_IDS:
-        raise ValueError(f"unknown neighborhood {k}; expected one of {NEIGHBORHOOD_IDS}")
+    _check_neighborhood(k)
     _check_permutation(instance, sequence)
     return _local_search(instance, sequence, (k,))[0]
 
@@ -287,8 +279,7 @@ def shake(sequence: Sequence[int], k: int, rng: Random) -> list[int]:
     Sequences too short for the neighborhood are returned unchanged; in
     every other case the result differs from the input.
     """
-    if k not in NEIGHBORHOOD_IDS:
-        raise ValueError(f"unknown neighborhood {k}; expected one of {NEIGHBORHOOD_IDS}")
+    _check_neighborhood(k)
     n = len(sequence)
     if k == SWAP:
         if n < 2:

@@ -10,8 +10,9 @@ pass.  The grid's bounds are the paper's, fixed as ``W1_MIN`` through
 
 Here each greedy step scans every unscheduled job, so each of the n*n
 triples costs O(n^2) and the weighted search O(n^4).  It and the swap pass
-run in the C kernel of ``neighborhoods`` (``_kernel.c``) under the same
-conditions as ``descend``: the kernel loaded and the instance fits int64.
+run in the C kernel of ``neighborhoods`` (``_kernel.c``, the extension
+module ``neighborhoods._kernel``) under the same conditions as
+``descend``: the kernel loaded and the instance fits int64.
 The kernel keeps the jobs in two orders by score, one for each processing
 time, carried from one triple to the next and sorted again, and takes each
 pick from their heads.  A step then reads n/64 words instead of n jobs,
@@ -117,15 +118,7 @@ def pairwise_swap_pass(instance: Instance, sequence: Sequence[int]) -> list[int]
     rows = neighborhoods._kernel_rows(instance)
     if rows is None:
         return _pairwise_swap_pass_python(instance, sequence)
-    return _pairwise_swap_pass_kernel(rows, sequence)
-
-
-def _pairwise_swap_pass_kernel(rows: bytes, sequence: Sequence[int]) -> list[int]:
-    """``pairwise_swap_pass`` in the C kernel over ``Instance._int64_rows``."""
-    seq = array("q", sequence)
-    view = neighborhoods._int64_view(seq)
-    neighborhoods._kernel.steptardy_pairwise_swap_pass(rows, len(seq), view)
-    return seq.tolist()
+    return neighborhoods._kernel.pairwise_swap_pass(rows, sequence)
 
 
 def _pairwise_swap_pass_python(instance: Instance, sequence: Sequence[int]) -> list[int]:
@@ -155,18 +148,8 @@ def weighted_search(instance: Instance) -> tuple[list[int], int, list[int]]:
     rows = neighborhoods._kernel_rows(instance)
     if rows is None:
         return _weighted_search_python(instance, weight_grid(instance.n))
-    return _weighted_search_kernel(rows, instance.n)
-
-
-def _weighted_search_kernel(rows: bytes, n: int) -> tuple[list[int], int, list[int]]:
-    """``weighted_search`` in the C kernel, over ``_weights``."""
-    m = n * n
-    seq = array("q", [0]) * n
-    trace = array("q", [0]) * m
-    views = neighborhoods._int64_view(seq), neighborhoods._int64_view(trace)
-    if neighborhoods._kernel.steptardy_weighted_search(rows, n, _weights(n), m, *views) != 0:
-        raise MemoryError("C kernel could not allocate its greedy arrays")
-    return seq.tolist(), trace[-1], trace.tolist()
+    seq, trace = neighborhoods._kernel.weighted_search(rows, instance.n, _weights(instance.n))
+    return seq, trace[-1], trace
 
 
 def _weighted_search_python(

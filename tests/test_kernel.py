@@ -6,18 +6,16 @@ when it built and the instance fits int64, and their Python code
 otherwise.  The two must return the same result for every input.  A
 kernel that silently failed to build would make every search some 70-100x
 slower (a default GVNS run at n=25 and n=50 on one core), so its absence is
-a failure wherever a C compiler exists, and so is a compiler warning in it.
+a failure wherever a C compiler and Python's headers exist, and so is a
+compiler warning in it.
 """
 
-import ctypes
-import importlib
 import os
 import random
 import shutil
 import subprocess
 import sys
 import sysconfig
-from array import array
 from itertools import permutations
 from pathlib import Path
 
@@ -35,12 +33,11 @@ from steptardy import (
     vnd,
 )
 from steptardy import neighborhoods
-from steptardy.neighborhoods import _descend_kernel, _descend_python
+from steptardy.neighborhoods import _descend_python
 from steptardy.swsp import (
-    _pairwise_swap_pass_kernel,
     _pairwise_swap_pass_python,
-    _weighted_search_kernel,
     _weighted_search_python,
+    _weights,
     pairwise_swap_pass,
     weight_grid,
     weighted_search,
@@ -52,28 +49,28 @@ needs_kernel = pytest.mark.skipif(
     neighborhoods._kernel is None, reason=f"C kernel not loaded: {neighborhoods._KERNEL_ERROR}"
 )
 COMPILER = (sysconfig.get_config_var("CC") or "cc").split()
+HEADERS = Path(sysconfig.get_paths()["include"])
 needs_compiler = pytest.mark.skipif(
-    shutil.which(COMPILER[0]) is None,
-    reason=f"no C compiler {COMPILER[0]!r} on PATH: the Python code runs",
+    shutil.which(COMPILER[0]) is None or not (HEADERS / "Python.h").exists(),
+    reason=f"no C compiler {COMPILER[0]!r} on PATH or no Python.h in {HEADERS}: the Python code runs",
 )
 KERNEL_SOURCE = Path(neighborhoods.__file__).with_name("_kernel.c")
-# the package exports the function swsp under the module's name
-swsp_module = importlib.import_module("steptardy.swsp")
 
 
 @needs_compiler
 def test_kernel_loads_where_a_compiler_exists():
     assert neighborhoods._kernel is not None, (
-        f"{COMPILER[0]} is on PATH but the C kernel did not load:\n{neighborhoods._KERNEL_ERROR}"
+        f"{COMPILER[0]} is on PATH and Python.h in {HEADERS}, but the C kernel did not load:\n"
+        f"{neighborhoods._KERNEL_ERROR}"
     )
 
 
 @needs_compiler
 def test_kernel_compiles_without_warnings(tmp_path):
-    # a full build with the loader's flags: warnings such as
+    # a full build with the loader's command: warnings such as
     # -Wmaybe-uninitialized come from the optimizer, which -fsyntax-only skips
     proc = subprocess.run(
-        COMPILER + neighborhoods._KERNEL_FLAGS
+        neighborhoods._kernel_command()
         + ["-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_kernel.so"), str(KERNEL_SOURCE)],
         capture_output=True,
         text=True,
@@ -91,7 +88,7 @@ def _both(instance, seq, k):
 def _chain_kernel(instance, seq, order):
     """The kernel's local search through ``order``, its total checked
     against a Python evaluation of its sequence."""
-    found, total = _descend_kernel(instance._int64_rows, seq, bytes(order))
+    found, total = neighborhoods._kernel.descend(instance._int64_rows, seq, order)
     assert total == total_tardiness(instance, found)
     return found, total
 
@@ -211,8 +208,11 @@ def test_parity_near_the_int64_bound():
         assert kernel == python
 
 
-def _no_kernel(*args):
-    raise AssertionError("descend must not run the C kernel here")
+class _NoKernel:
+    """A kernel whose every function fails the test: it must not run here."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the C kernel's {name} must not run here")
 
 
 @pytest.mark.parametrize(
@@ -226,7 +226,7 @@ def _no_kernel(*args):
 def test_out_of_kernel_range_takes_python_path(monkeypatch, rows):
     instance = make_instance(rows)
     assert instance._int64_rows is None
-    monkeypatch.setattr(neighborhoods, "_descend_kernel", _no_kernel)
+    monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
     for k in NEIGHBORHOOD_IDS:
         assert descend(instance, [4, 3, 2, 1], k) == _descend_python(instance, [4, 3, 2, 1], k)
 
@@ -234,23 +234,28 @@ def test_out_of_kernel_range_takes_python_path(monkeypatch, rows):
 def test_missing_kernel_takes_python_path(monkeypatch, demo8):
     expected = [_descend_python(demo8, [8, 7, 6, 5, 4, 3, 2, 1], k) for k in NEIGHBORHOOD_IDS]
     monkeypatch.setattr(neighborhoods, "_kernel", None)
-    monkeypatch.setattr(neighborhoods, "_descend_kernel", _no_kernel)
     assert [descend(demo8, [8, 7, 6, 5, 4, 3, 2, 1], k) for k in NEIGHBORHOOD_IDS] == expected
 
 
 @needs_kernel
 def test_sequence_checked_before_the_kernel(monkeypatch, demo8):
-    monkeypatch.setattr(neighborhoods, "_descend_kernel", _no_kernel)
+    monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
     seq = [8, 7, 6, 5, 4, 3, 2, 1]
     for call in (
         lambda: descend(demo8, [1, 2, 3, 4, 5, 6, 7, 9], 1),
         lambda: descend(demo8, [1, 2, 3, 4, 5, 6, 7, 7], 1),
         lambda: descend(demo8, seq, 0),
         lambda: descend(demo8, seq, 6),
+        # a neighborhood id is an int: not a bool or a float equal to one
+        lambda: descend(demo8, seq, True),
+        lambda: descend(demo8, seq, 1.0),
         lambda: vnd(demo8, [1, 2, 3, 4, 5, 6, 7, 9], NEIGHBORHOOD_IDS),
         lambda: vnd(demo8, seq, [1, 2, 2, 4, 5]),
         lambda: vnd(demo8, seq, [1, 2, 3, 4, 6]),
         lambda: vnd(demo8, seq, [0]),
+        lambda: vnd(demo8, seq, [True, 2]),
+        lambda: vnd(demo8, seq, [1.0, 2.0]),
+        lambda: shake(seq, 2.0, random.Random(0)),
     ):
         with pytest.raises(ValueError):
             call()
@@ -260,29 +265,42 @@ def test_sequence_checked_before_the_kernel(monkeypatch, demo8):
 @pytest.mark.parametrize("order", [b"\x00", b"\x06", b"\x01\x02\xff", b"\x05\x07"])
 def test_kernel_refuses_an_unknown_neighborhood(demo8, order):
     seq = [8, 7, 6, 5, 4, 3, 2, 1]
-    buf = array("q", seq)
-    total = ctypes.c_int64(-7)
-    code = neighborhoods._kernel.steptardy_descend(
-        demo8._int64_rows, len(seq), neighborhoods._int64_view(buf), order, len(order), total
-    )
-    # refused before any descent: nothing moved, nothing written
-    assert (code, buf.tolist(), total.value) == (-2, seq, -7)
     with pytest.raises(ValueError, match="outside 1..5"):
-        _descend_kernel(demo8._int64_rows, seq, order)
+        neighborhoods._kernel.descend(demo8._int64_rows, seq, list(order))
+    # the kernel works on its own copy: the caller's sequence is never written
+    assert seq == [8, 7, 6, 5, 4, 3, 2, 1]
 
 
-class _FailingKernel:
-    """A stand-in for the library whose descent fails with ``code`` and
-    writes ``k`` to the total, as the kernel does on -3."""
+def _mutant_kernel(tmp_path, old, new):
+    """The library built, with the loader's command, from a copy of
+    ``_kernel.c`` in which ``old`` is replaced by ``new``."""
+    source = KERNEL_SOURCE.read_text()
+    assert source.count(old) == 1
+    mutant = tmp_path / "_kernel.c"
+    mutant.write_text(source.replace(old, new))
+    library = tmp_path / "_kernel.so"
+    subprocess.run(
+        neighborhoods._kernel_command() + ["-o", str(library), str(mutant)],
+        check=True,
+        capture_output=True,
+    )
+    return library
 
-    def __init__(self, code, k):
-        self.code, self.k = code, k
 
-    def steptardy_descend(self, rows, n, seq, order, m, total):
-        total.value = self.k
-        return self.code
+# how to make steptardy_descend fail with each code: a mutation of its
+# source (none when the real kernel fails) and a neighborhood order
+FAILURES = {
+    # the prefix arrays cannot be allocated
+    -1: (("i64 *C = malloc((size_t)(n + 1) * 2 * sizeof *C);", "i64 *C = NULL;"), [2, 4]),
+    -2: (None, [2, 9]),
+    # the defect that once made descend loop for ever inside C: without
+    # max(0, .) a step lowers the running tardiness of an early job, so a
+    # scan accepts a move that does not lower the total
+    -3: (("*t += late > 0 ? late : 0;", "*t += late;"), [4]),
+}
 
 
+@needs_kernel
 @pytest.mark.parametrize(
     "code, error, message",
     [
@@ -291,10 +309,26 @@ class _FailingKernel:
         (-3, RuntimeError, "neighborhood 4 that did not lower"),
     ],
 )
-def test_kernel_failures_raise_their_own_errors(monkeypatch, demo8, code, error, message):
-    monkeypatch.setattr(neighborhoods, "_kernel", _FailingKernel(code, 4))
-    with pytest.raises(error, match=message):
-        _descend_kernel(demo8._int64_rows, [8, 7, 6, 5, 4, 3, 2, 1], bytes([2, 4]))
+def test_kernel_failures_raise_their_own_errors(tmp_path, code, error, message):
+    mutation, order = FAILURES[code]
+    if mutation is None:
+        kernel = "m._kernel"
+    else:
+        kernel = f"m._import_kernel({str(_mutant_kernel(tmp_path, *mutation))!r})"
+    # in a fresh interpreter, so that a kernel looping for ever fails the
+    # test at the timeout instead of hanging it
+    out = _run_python(
+        tmp_path,
+        "from steptardy import neighborhoods as m, generate_suite\n"
+        "instance = generate_suite([10], 0)[0]\n"
+        "try:\n"
+        f"    {kernel}.descend(instance._int64_rows, list(range(10, 0, -1)), {order})\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n",
+        Path(neighborhoods.__file__).parents[1],
+        timeout=60,
+    )
+    assert out.startswith(error.__name__) and message in out, out
 
 
 @needs_kernel
@@ -302,18 +336,42 @@ def test_kernel_failures_raise_their_own_errors(monkeypatch, demo8, code, error,
     "seq, error", [([2.0, 1.0], TypeError), ([2**64, 1], OverflowError)], ids=["float", "huge"]
 )
 def test_kernel_buffers_refuse_what_int64_cannot_hold(seq, error):
-    # the int64 buffer is built before any C call, so nothing reaches the kernel
+    # each id is read as an int64 before any C call, so nothing reaches the kernel
     rows = make_instance([(1, 0, 0, 0), (2, 0, 0, 0)])._int64_rows
-    with pytest.raises(error):
-        _descend_kernel(rows, seq, b"\x01")
-    with pytest.raises(error):
-        _pairwise_swap_pass_kernel(rows, seq)
+    for call in (
+        lambda: neighborhoods._kernel.descend(rows, seq, [1]),
+        lambda: neighborhoods._kernel.descend(rows, [2, 1], seq),
+        lambda: neighborhoods._kernel.pairwise_swap_pass(rows, seq),
+    ):
+        with pytest.raises(error):
+            call()
+
+
+@needs_kernel
+def test_kernel_refuses_arguments_outside_its_rows():
+    # the kernel indexes its rows by job id: an id past them would read
+    # outside the buffer
+    rows = make_instance([(1, 0, 0, 0), (2, 0, 0, 0)])._int64_rows
+    kernel = neighborhoods._kernel
+    for call, error in (
+        (lambda: kernel.descend(rows, [0, 1], [1]), ValueError),
+        (lambda: kernel.descend(rows, [3, 1], [1]), ValueError),
+        (lambda: kernel.pairwise_swap_pass(rows, [1, 3]), ValueError),
+        (lambda: kernel.weighted_search(rows, 3, _weights(3)), ValueError),
+        (lambda: kernel.weighted_search(rows, 0, b""), ValueError),
+        (lambda: kernel.weighted_search(rows, 2, _weights(1)), TypeError),
+        (lambda: kernel.descend(rows[:-8], [2, 1], [1]), TypeError),
+        (lambda: kernel.descend(list(rows), [2, 1], [1]), TypeError),
+        (lambda: kernel.pairwise_swap_pass(rows, 12), TypeError),
+    ):
+        with pytest.raises(error):
+            call()
 
 
 def _swsp_both(instance, seq):
     """(Python, kernel) results of the weighted search and of the swap pass
     from seq and from the weighted search's sequence."""
-    rows = instance._int64_rows
+    assert instance._int64_rows is not None
     found = _weighted_search_python(instance, weight_grid(instance.n))
     python = (
         found,
@@ -321,9 +379,9 @@ def _swsp_both(instance, seq):
         _pairwise_swap_pass_python(instance, found[0]),
     )
     kernel = (
-        _weighted_search_kernel(rows, instance.n),
-        _pairwise_swap_pass_kernel(rows, seq),
-        _pairwise_swap_pass_kernel(rows, found[0]),
+        weighted_search(instance),
+        pairwise_swap_pass(instance, seq),
+        pairwise_swap_pass(instance, found[0]),
     )
     return python, kernel
 
@@ -383,9 +441,7 @@ def test_swsp_parity_with_ties(case):
 def test_weighted_search_parity_at_the_bitset_word_boundary(n):
     # the kernel's greedy keeps its n - 1 candidate jobs in 64-bit words
     instance = generate_suite([n], 0)[0]
-    assert _weighted_search_kernel(instance._int64_rows, n) == _weighted_search_python(
-        instance, weight_grid(n)
-    )
+    assert weighted_search(instance) == _weighted_search_python(instance, weight_grid(n))
 
 
 @needs_kernel
@@ -401,11 +457,6 @@ def test_swsp_parity_near_the_int64_bound():
     assert kernel == python
 
 
-def _no_swsp_kernel(monkeypatch):
-    monkeypatch.setattr(swsp_module, "_weighted_search_kernel", _no_kernel)
-    monkeypatch.setattr(swsp_module, "_pairwise_swap_pass_kernel", _no_kernel)
-
-
 @pytest.mark.parametrize(
     "rows",
     [
@@ -416,7 +467,7 @@ def _no_swsp_kernel(monkeypatch):
 def test_swsp_out_of_kernel_range_takes_python_path(monkeypatch, rows):
     instance = make_instance(rows)
     assert instance._int64_rows is None
-    _no_swsp_kernel(monkeypatch)
+    monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
     assert weighted_search(instance) == _weighted_search_python(instance, weight_grid(4))
     assert pairwise_swap_pass(instance, [4, 3, 2, 1]) == _pairwise_swap_pass_python(
         instance, [4, 3, 2, 1]
@@ -429,13 +480,12 @@ def test_swsp_missing_kernel_takes_python_path(monkeypatch, demo8):
         _pairwise_swap_pass_python(demo8, [8, 7, 6, 5, 4, 3, 2, 1]),
     )
     monkeypatch.setattr(neighborhoods, "_kernel", None)
-    _no_swsp_kernel(monkeypatch)
     assert (weighted_search(demo8), pairwise_swap_pass(demo8, [8, 7, 6, 5, 4, 3, 2, 1])) == expected
 
 
 @needs_kernel
 def test_swsp_inputs_checked_before_the_kernel(monkeypatch, demo8):
-    _no_swsp_kernel(monkeypatch)
+    monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
     with pytest.raises(ValueError):
         pairwise_swap_pass(demo8, [1, 2, 3, 4, 5, 6, 7, 9])
 
@@ -458,17 +508,25 @@ NO_PROCESS = (
 )
 
 
-def _import_copy(tmp_path, script, prelude=""):
+def _run_python(cwd, script, path, timeout=300):
+    """The stdout of ``script`` run in a fresh interpreter with ``path``
+    first on the module path, which must exit cleanly."""
     proc = subprocess.run(
-        [sys.executable, "-c", prelude + "from steptardy import neighborhoods as m\n" + script],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        [sys.executable, "-c", script],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(path)},
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _import_copy(tmp_path, script, prelude=""):
+    return _run_python(
+        tmp_path, prelude + "from steptardy import neighborhoods as m\n" + script, tmp_path
+    )
 
 
 def _builds(package):
@@ -509,3 +567,53 @@ def test_failed_build_is_recorded_not_retried(tmp_path):
     _import_copy(tmp_path, "assert m._kernel, m._KERNEL_ERROR")
     [library] = _builds(package)
     assert library.endswith(".so")
+
+
+# preludes that take away the compiler or Python's headers from the build
+NO_COMPILER = (
+    "import sysconfig\n"
+    "_var = sysconfig.get_config_var\n"
+    "sysconfig.get_config_var = lambda name: 'steptardy-no-cc' if name == 'CC' else _var(name)\n"
+)
+NO_HEADERS = (
+    "import sysconfig\n"
+    "_paths = sysconfig.get_paths\n"
+    "sysconfig.get_paths = lambda *args: {**_paths(*args), 'include': '/steptardy-no-headers'}\n"
+)
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "prelude, reason",
+    [(NO_COMPILER, "steptardy-no-cc"), (NO_HEADERS, "Python.h")],
+    ids=["no-compiler", "no-headers"],
+)
+def test_build_without_a_compiler_or_headers_is_recorded(tmp_path, prelude, reason):
+    package = _copy_package(tmp_path)
+    falls_back = (
+        "assert m._kernel is None\n"
+        "from steptardy import descend, generate_suite\n"
+        "instance = generate_suite([6], 0)[0]\n"
+        "assert descend(instance, [6, 5, 4, 3, 2, 1], 2)\n"
+        "print(m._KERNEL_ERROR)"
+    )
+    first = _import_copy(tmp_path, falls_back, prelude=prelude)
+    assert reason in first
+    [failure] = _builds(package)
+    assert failure.endswith(".err")
+    assert _import_copy(tmp_path, falls_back, prelude=NO_PROCESS) == first
+
+
+@needs_kernel
+def test_cache_hit_import_stays_lean(tmp_path):
+    # the kernel this process loaded is built, so this import is a cache
+    # hit: it needs neither ctypes nor sysconfig, whose modules would stay
+    # resident for the life of the process
+    out = _run_python(
+        tmp_path,
+        "import sys, steptardy\n"
+        "assert steptardy.neighborhoods._kernel, steptardy.neighborhoods._KERNEL_ERROR\n"
+        "print(sorted({'ctypes', 'sysconfig'} & set(sys.modules)))\n",
+        Path(neighborhoods.__file__).parents[1],
+    )
+    assert out == "[]\n"
