@@ -50,7 +50,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
@@ -290,17 +289,15 @@ static const struct {
    move only: a neighbourhood ends with a scan that moved nothing, so they
    still describe seq when the next one starts.  Every accepted move must
    lower the total, which also bounds the number of moves; a scan defect
-   that breaks this returns -3 with the neighbourhood in *total, instead of
-   looping for ever.  Returns 0, -1 when out of memory, -2 for an order
-   entry outside 1..5, -3 as above.  */
-static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const unsigned char *order, i64 m, i64 *total)
+   that breaks this raises RuntimeError instead of looping for ever.
+   Returns 0, or -1 with an exception set.  */
+static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, i64 m, i64 *total)
 {
-    for (i64 r = 0; r < m; r++)
-        if (order[r] < 1 || order[r] > 5)
-            return -2;
-    i64 *C = malloc((size_t)(n + 1) * 2 * sizeof *C);
-    if (C == NULL)
+    i64 *C = PyMem_Malloc((size_t)(n + 1) * 2 * sizeof *C);
+    if (C == NULL) {
+        PyErr_NoMemory();
         return -1;
+    }
     i64 *TS = C + n + 1;
     prefix_state(seq, J, n, C, TS);
     for (i64 r = 0; r < m; r++) {
@@ -308,14 +305,16 @@ static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const unsigned cha
             i64 before = TS[n];
             prefix_state(seq, J, n, C, TS);
             if (TS[n] >= before) {
-                free(C);
-                *total = order[r];
-                return -3;
+                PyMem_Free(C);
+                PyErr_Format(PyExc_RuntimeError,
+                             "C kernel accepted a move of neighborhood %lld that did not lower the total tardiness",
+                             (long long)order[r]);
+                return -1;
             }
         }
     }
     *total = TS[n];
-    free(C);
+    PyMem_Free(C);
     return 0;
 }
 
@@ -374,7 +373,7 @@ static inline i64 head(const uint64_t *bits, i64 nw, const i64 *ord)
 
 /* weighted_search over the m triples of grid (w1, w2, w3 each), n >= 1:
    best_seq gets the first sequence that reaches the best total, trace[t]
-   the best total after triple t.  Returns 0, or -1 when out of memory.
+   the best total after triple t.  Returns 0, or -1 with MemoryError set.
 
    Each step of greedy_construct appends the unscheduled job with the
    smallest (score, id), where a job's score is key_a while the completion
@@ -391,19 +390,16 @@ static inline i64 head(const uint64_t *bits, i64 nw, const i64 *ord)
 static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
 {
     i64 r = n - 1, nw = r / 64 + 1;
-    i64 *seq = malloc((size_t)(n + 3 * r + 2 * (n + 1)) * sizeof *seq);
-    double *key_a = malloc((size_t)(n + 1) * 2 * sizeof *key_a);
-    uint64_t *A = malloc((size_t)nw * 2 * sizeof *A);
-    if (seq == NULL || key_a == NULL || A == NULL) {
-        free(seq);
-        free(key_a);
-        free(A);
+    /* one block of 8-byte entries: the i64 arrays, the keys, the bitsets */
+    i64 *seq = PyMem_Malloc((size_t)(n + 3 * r + 4 * (n + 1) + 2 * nw) * sizeof *seq);
+    if (seq == NULL) {
+        PyErr_NoMemory();
         return -1;
     }
     i64 *ord_a = seq + n, *ord_ab = ord_a + r, *by_h = ord_ab + r;
     i64 *pos_a = by_h + r, *pos_ab = pos_a + n + 1;
-    double *key_ab = key_a + n + 1;
-    uint64_t *B = A + nw;
+    double *key_a = (double *)(pos_ab + n + 1), *key_ab = key_a + n + 1;
+    uint64_t *A = (uint64_t *)(key_ab + n + 1), *B = A + nw;
     i64 first = 1;
     for (i64 j = 2; j <= n; j++)
         if (J[j].d < J[first].d)
@@ -465,9 +461,7 @@ static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, 
         }
         trace[t] = best_val;
     }
-    free(seq);
-    free(key_a);
-    free(A);
+    PyMem_Free(seq);
     return 0;
 }
 
@@ -496,57 +490,58 @@ static void steptardy_pairwise_swap_pass(const job_t *J, i64 n, i64 *seq)
 
 /* The Python entry points.  Each reads its arguments into C arrays, calls
    one function above and builds its result, so it never writes to the
-   caller's objects.  rows is Instance._int64_rows: bytes holding one row
-   per job id 0..N.  A sequence or an order is a list or a tuple of ints
+   caller's objects.  As in CPython, a function that fails sets its
+   exception where it finds the failure and returns NULL (or -1), and each
+   argument is checked as it is read, before any C above runs.  rows is
+   Instance._int64_rows: bytes holding one row per job id 0..N, with
+   N >= 1 jobs.  A sequence or an order is a list or a tuple of ints
    (PySequence_Fast copies any other sequence into a list); an entry that
-   is not an int raises TypeError, and one past int64 OverflowError.  Job
-   ids must lie in 1..N, so no argument makes a function read outside the
-   rows; whether a sequence is a permutation is for the Python callers to
-   check.  */
+   is not an int raises TypeError, one past int64 OverflowError, and a job
+   id outside 1..N or a neighbourhood id outside 1..5 ValueError, so no
+   argument makes a function read outside the rows or SCANS.  Whether a
+   sequence is a permutation is for the Python callers to check.  */
 
-/* The job rows in rows, with the largest job id in *last; NULL with an
-   exception set unless rows is bytes of whole rows.  */
+/* The job rows in rows, with the largest job id in *last; NULL with
+   TypeError set unless rows is bytes of whole rows for ids 0..N, N >= 1.  */
 static const job_t *job_rows(PyObject *rows, i64 *last)
 {
     Py_ssize_t size = PyBytes_Check(rows) ? PyBytes_GET_SIZE(rows) : 0;
-    if (size == 0 || size % (Py_ssize_t)sizeof(job_t) != 0) {
-        PyErr_SetString(PyExc_TypeError, "rows must be bytes of int64 rows (a, a + b, d, h) by job id");
+    if (size < 2 * (Py_ssize_t)sizeof(job_t) || size % (Py_ssize_t)sizeof(job_t) != 0) {
+        PyErr_SetString(PyExc_TypeError, "rows must be bytes of int64 rows (a, a + b, d, h) for job ids 0..N, N >= 1");
         return NULL;
     }
     *last = size / (Py_ssize_t)sizeof(job_t) - 1;
     return (const job_t *)PyBytes_AS_STRING(rows);
 }
 
-/* The int x into *v; -1 with TypeError or OverflowError set.  Only an int
+/* The entries of the sequence ids as a new array of *n int64s, to be freed
+   with PyMem_Free; NULL with an exception set unless each is an int in
+   lo..hi, where lo >= 1.  what names an entry in the message.  Only an int
    is read, so no Python code (an __index__) runs while a caller's list is
    being read.  */
-static int int_of(PyObject *x, i64 *v)
+static i64 *read_ids(PyObject *ids, const char *what, i64 lo, i64 hi, Py_ssize_t *n)
 {
-    if (!PyLong_Check(x)) {
-        PyErr_Format(PyExc_TypeError, "expected an int, got %.100s", Py_TYPE(x)->tp_name);
-        return -1;
+    PyObject *fast = PySequence_Fast(ids, "expected a sequence of ids");
+    if (fast == NULL)
+        return NULL;
+    *n = PySequence_Fast_GET_SIZE(fast);
+    i64 *v = PyMem_Malloc((size_t)*n * sizeof *v);
+    if (v == NULL)
+        PyErr_NoMemory();
+    for (Py_ssize_t k = 0; v != NULL && k < *n; k++) {
+        PyObject *x = PySequence_Fast_GET_ITEM(fast, k);
+        if (!PyLong_Check(x))
+            PyErr_Format(PyExc_TypeError, "expected an int, got %.100s", Py_TYPE(x)->tp_name);
+        else if ((v[k] = PyLong_AsLongLong(x)) >= lo && v[k] <= hi)
+            continue;
+        else if (v[k] != -1 || !PyErr_Occurred()) /* else OverflowError is set */
+            PyErr_Format(PyExc_ValueError, "%s %lld outside %lld..%lld", what, (long long)v[k], (long long)lo,
+                         (long long)hi);
+        PyMem_Free(v);
+        v = NULL;
     }
-    long long y = PyLong_AsLongLong(x);
-    if (y == -1 && PyErr_Occurred())
-        return -1;
-    *v = y;
-    return 0;
-}
-
-/* The entries of fast, from PySequence_Fast, into seq; -1 with an
-   exception set unless each is a job id in 1..last.  */
-static int job_ids(PyObject *fast, i64 *seq, i64 last)
-{
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(fast); k++) {
-        if (int_of(items[k], &seq[k]))
-            return -1;
-        if (seq[k] < 1 || seq[k] > last) {
-            PyErr_Format(PyExc_ValueError, "job id %lld outside 1..%lld", (long long)seq[k], (long long)last);
-            return -1;
-        }
-    }
-    return 0;
+    Py_DECREF(fast);
+    return v;
 }
 
 /* A new list of v[0..n-1], or NULL with an exception set.  */
@@ -583,80 +578,39 @@ static PyObject *py_descend(PyObject *module, PyObject *const *args, Py_ssize_t 
     (void)module;
     if (nargs != 3)
         return PyErr_Format(PyExc_TypeError, "descend takes 3 arguments (%zd given)", nargs);
-    i64 last, total, *seq = NULL;
+    i64 last, total;
+    Py_ssize_t n, m;
     const job_t *J = job_rows(args[0], &last);
-    if (J == NULL)
-        return NULL;
+    i64 *seq = J != NULL ? read_ids(args[1], "job id", 1, last, &n) : NULL;
+    i64 *order = seq != NULL ? read_ids(args[2], "neighborhood id", 1, 5, &m) : NULL;
     PyObject *result = NULL;
-    PyObject *fast = PySequence_Fast(args[1], "sequence must be a sequence of job ids");
-    if (fast == NULL)
-        return NULL;
-    PyObject *order = PySequence_Fast(args[2], "order must be a sequence of neighborhood ids");
-    if (order == NULL)
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast), m = PySequence_Fast_GET_SIZE(order);
-    /* the sequence, then the order as one byte per neighborhood */
-    seq = PyMem_Malloc((size_t)n * sizeof *seq + (size_t)m);
-    if (seq == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (job_ids(fast, seq, last))
-        goto done;
-    unsigned char *ks = (unsigned char *)(seq + n);
-    for (Py_ssize_t r = 0; r < m; r++) {
-        i64 k;
-        if (int_of(PySequence_Fast_GET_ITEM(order, r), &k))
-            goto done;
-        /* steptardy_descend refuses 0, like any id outside 1..5 */
-        ks[r] = k >= 1 && k <= 5 ? (unsigned char)k : 0;
-    }
-    switch (steptardy_descend(J, n, seq, ks, m, &total)) {
-    case 0: {
+    if (order != NULL && steptardy_descend(J, n, seq, order, m, &total) == 0) {
         PyObject *found = list_of(seq, n);
         result = pair(found, found != NULL ? PyLong_FromLongLong(total) : NULL);
-        break;
     }
-    case -1:
-        PyErr_SetString(PyExc_MemoryError, "C kernel could not allocate its prefix arrays");
-        break;
-    case -2:
-        PyErr_Format(PyExc_ValueError, "neighborhood order %R has an entry outside 1..5", args[2]);
-        break;
-    default:
-        PyErr_Format(PyExc_RuntimeError,
-                     "C kernel accepted a move of neighborhood %lld that did not lower the total tardiness",
-                     (long long)total);
-    }
-done:
+    PyMem_Free(order);
     PyMem_Free(seq);
-    Py_XDECREF(order);
-    Py_DECREF(fast);
     return result;
 }
 
 static PyObject *py_weighted_search(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "weighted_search takes 3 arguments (%zd given)", nargs);
-    i64 last, n;
-    const job_t *J = job_rows(args[0], &last);
-    if (J == NULL || int_of(args[1], &n))
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "weighted_search takes 2 arguments (%zd given)", nargs);
+    i64 n;
+    const job_t *J = job_rows(args[0], &n);
+    if (J == NULL)
         return NULL;
-    if (n < 1 || n > last)
-        return PyErr_Format(PyExc_ValueError, "n = %lld outside 1..%lld", (long long)n, (long long)last);
     i64 m = n * n;
-    if (!PyBytes_Check(args[2]) || PyBytes_GET_SIZE(args[2]) != 3 * m * (Py_ssize_t)sizeof(double))
+    if (!PyBytes_Check(args[1]) || PyBytes_GET_SIZE(args[1]) != 3 * m * (Py_ssize_t)sizeof(double))
         return PyErr_Format(PyExc_TypeError, "weights must be bytes of 3 * %lld doubles", (long long)m);
     /* the best sequence, then the trace */
     i64 *seq = PyMem_Malloc((size_t)(n + m) * sizeof *seq);
     if (seq == NULL)
         return PyErr_NoMemory();
     PyObject *result = NULL;
-    if (steptardy_weighted_search(J, n, (const double *)PyBytes_AS_STRING(args[2]), m, seq, seq + n) != 0) {
-        PyErr_SetString(PyExc_MemoryError, "C kernel could not allocate its greedy arrays");
-    } else {
+    if (steptardy_weighted_search(J, n, (const double *)PyBytes_AS_STRING(args[1]), m, seq, seq + n) == 0) {
         PyObject *best = list_of(seq, n);
         result = pair(best, best != NULL ? list_of(seq + n, m) : NULL);
     }
@@ -670,23 +624,14 @@ static PyObject *py_pairwise_swap_pass(PyObject *module, PyObject *const *args, 
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "pairwise_swap_pass takes 2 arguments (%zd given)", nargs);
     i64 last;
+    Py_ssize_t n;
     const job_t *J = job_rows(args[0], &last);
-    if (J == NULL)
+    i64 *seq = J != NULL ? read_ids(args[1], "job id", 1, last, &n) : NULL;
+    if (seq == NULL)
         return NULL;
-    PyObject *fast = PySequence_Fast(args[1], "sequence must be a sequence of job ids");
-    if (fast == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject *result = NULL;
-    i64 *seq = PyMem_Malloc((size_t)n * sizeof *seq);
-    if (seq == NULL) {
-        PyErr_NoMemory();
-    } else if (job_ids(fast, seq, last) == 0) {
-        steptardy_pairwise_swap_pass(J, n, seq);
-        result = list_of(seq, n);
-    }
+    steptardy_pairwise_swap_pass(J, n, seq);
+    PyObject *result = list_of(seq, n);
     PyMem_Free(seq);
-    Py_DECREF(fast);
     return result;
 }
 
@@ -695,8 +640,8 @@ static PyMethodDef kernel_methods[] = {
      "descend(rows, sequence, order) -> (sequence, total)\n\n"
      "Descend through the neighborhoods in order, each to its fixpoint."},
     {"weighted_search", (PyCFunction)(void (*)(void))py_weighted_search, METH_FASTCALL,
-     "weighted_search(rows, n, weights) -> (sequence, trace)\n\n"
-     "SWSP's greedy over the n * n weight triples in weights."},
+     "weighted_search(rows, weights) -> (sequence, trace)\n\n"
+     "SWSP's greedy over the n * n weight triples in weights, for the n jobs in rows."},
     {"pairwise_swap_pass", (PyCFunction)(void (*)(void))py_pairwise_swap_pass, METH_FASTCALL,
      "pairwise_swap_pass(rows, sequence) -> sequence\n\n"
      "SWSP's swap pass, keeping each swap that lowers the total."},

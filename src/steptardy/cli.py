@@ -129,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="deteriorating-date interval class")
     gen.add_argument("--d-class", type=int, choices=(1, 2), required=True,
                      help="due-date interval class")
-    gen.add_argument("--tau", type=float, default=0.5, help="penalty interval factor")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed")
+    gen.add_argument("--tau", type=float, default=GenSpec.tau, help="penalty interval factor")
+    gen.add_argument("--seed", type=int, default=GenSpec.seed, help="generator seed")
     gen.add_argument("--out", help="output path (stdout when omitted)")
     gen.set_defaults(func=_cmd_gen)
 
@@ -144,9 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one method on one instance")
     solve.add_argument("--instance", required=True, help="instance JSON path")
     solve.add_argument("--method", required=True, choices=METHODS)
-    solve.add_argument("--seed", type=int, default=0, help="run seed (vns/gvns)")
-    solve.add_argument("--iter-max", type=int, default=500, help="iteration budget (vns/gvns)")
-    solve.add_argument("--iter-nip", type=int, default=150,
+    solve.add_argument("--seed", type=int, default=SearchParams.seed, help="run seed (vns/gvns)")
+    solve.add_argument("--iter-max", type=int, default=SearchParams.iter_max,
+                       help="iteration budget (vns/gvns)")
+    solve.add_argument("--iter-nip", type=int, default=SearchParams.iter_nip,
                        help="non-improving iteration budget (vns/gvns); gvns perturbs"
                             " after iter-nip // 2")
     solve.set_defaults(func=_cmd_solve)

@@ -73,10 +73,10 @@ class ExperimentConfig:
     gen_seed: int = 0
     methods: tuple[str, ...] = ("gvns",)
     replications: int = 10
-    seed: int = 0
+    seed: int = SearchParams.seed
     output: str = ""
-    iter_max: int = 500
-    iter_nip: int = 150
+    iter_max: int = SearchParams.iter_max
+    iter_nip: int = SearchParams.iter_nip
 
     def __post_init__(self):
         for spec in fields(self):

@@ -148,7 +148,7 @@ def weighted_search(instance: Instance) -> tuple[list[int], int, list[int]]:
     rows = neighborhoods._kernel_rows(instance)
     if rows is None:
         return _weighted_search_python(instance, weight_grid(instance.n))
-    seq, trace = neighborhoods._kernel.weighted_search(rows, instance.n, _weights(instance.n))
+    seq, trace = neighborhoods._kernel.weighted_search(rows, _weights(instance.n))
     return seq, trace[-1], trace
 
 

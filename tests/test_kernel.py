@@ -287,30 +287,40 @@ def _mutant_kernel(tmp_path, old, new):
     return library
 
 
-# how to make steptardy_descend fail with each code: a mutation of its
-# source (none when the real kernel fails) and a neighborhood order
+# how to make each kernel function fail, by the exception it must raise: a
+# mutation of its source (none when the real kernel fails), the call, and
+# a part of the message
 FAILURES = {
-    # the prefix arrays cannot be allocated
-    -1: (("i64 *C = malloc((size_t)(n + 1) * 2 * sizeof *C);", "i64 *C = NULL;"), [2, 4]),
-    -2: (None, [2, 9]),
+    MemoryError: [
+        # the prefix arrays cannot be allocated
+        (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 2 * sizeof *C);", "i64 *C = NULL;"),
+         "descend(rows, seq, [2, 4])", ""),
+        # the greedy's arrays cannot be allocated
+        (("i64 *seq = PyMem_Malloc((size_t)(n + 3 * r + 4 * (n + 1) + 2 * nw) * sizeof *seq);",
+          "i64 *seq = NULL;"),
+         "weighted_search(rows, _weights(10))", ""),
+    ],
+    ValueError: [(None, "descend(rows, seq, [2, 9])", "outside 1..5")],
     # the defect that once made descend loop for ever inside C: without
     # max(0, .) a step lowers the running tardiness of an early job, so a
     # scan accepts a move that does not lower the total
-    -3: (("*t += late > 0 ? late : 0;", "*t += late;"), [4]),
+    RuntimeError: [
+        (("*t += late > 0 ? late : 0;", "*t += late;"), "descend(rows, seq, [4])",
+         "neighborhood 4 that did not lower"),
+    ],
 }
 
 
 @needs_kernel
 @pytest.mark.parametrize(
-    "code, error, message",
+    "error, mutation, call, message",
     [
-        (-1, MemoryError, "could not allocate"),
-        (-2, ValueError, "outside 1..5"),
-        (-3, RuntimeError, "neighborhood 4 that did not lower"),
+        pytest.param(error, *case, id=f"{error.__name__}-{case[1].split('(')[0]}")
+        for error, cases in FAILURES.items()
+        for case in cases
     ],
 )
-def test_kernel_failures_raise_their_own_errors(tmp_path, code, error, message):
-    mutation, order = FAILURES[code]
+def test_kernel_failures_raise_their_own_errors(tmp_path, error, mutation, call, message):
     if mutation is None:
         kernel = "m._kernel"
     else:
@@ -320,9 +330,11 @@ def test_kernel_failures_raise_their_own_errors(tmp_path, code, error, message):
     out = _run_python(
         tmp_path,
         "from steptardy import neighborhoods as m, generate_suite\n"
-        "instance = generate_suite([10], 0)[0]\n"
+        "from steptardy.swsp import _weights\n"
+        "rows = generate_suite([10], 0)[0]._int64_rows\n"
+        "seq = list(range(10, 0, -1))\n"
         "try:\n"
-        f"    {kernel}.descend(instance._int64_rows, list(range(10, 0, -1)), {order})\n"
+        f"    {kernel}.{call}\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n",
         Path(neighborhoods.__file__).parents[1],
@@ -357,12 +369,17 @@ def test_kernel_refuses_arguments_outside_its_rows():
         (lambda: kernel.descend(rows, [0, 1], [1]), ValueError),
         (lambda: kernel.descend(rows, [3, 1], [1]), ValueError),
         (lambda: kernel.pairwise_swap_pass(rows, [1, 3]), ValueError),
-        (lambda: kernel.weighted_search(rows, 3, _weights(3)), ValueError),
-        (lambda: kernel.weighted_search(rows, 0, b""), ValueError),
-        (lambda: kernel.weighted_search(rows, 2, _weights(1)), TypeError),
+        # the weights are for n * n triples, n the number of rows past row 0
+        (lambda: kernel.weighted_search(rows, _weights(3)), TypeError),
+        (lambda: kernel.weighted_search(rows, _weights(1)), TypeError),
+        (lambda: kernel.weighted_search(rows, 2, _weights(2)), TypeError),
         (lambda: kernel.descend(rows[:-8], [2, 1], [1]), TypeError),
         (lambda: kernel.descend(list(rows), [2, 1], [1]), TypeError),
         (lambda: kernel.pairwise_swap_pass(rows, 12), TypeError),
+        # rows holding only row 0 hold no job
+        (lambda: kernel.descend(rows[:32], [], [1]), TypeError),
+        (lambda: kernel.weighted_search(rows[:32], _weights(1)), TypeError),
+        (lambda: kernel.pairwise_swap_pass(rows[:32], []), TypeError),
     ):
         with pytest.raises(error):
             call()
