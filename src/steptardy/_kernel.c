@@ -22,9 +22,8 @@
      each pick from two sorted orders instead of a scan over every
      unscheduled job; steptardy_weighted_search gives the argument.  The
      greedy scores are the same double expression, w1*d + w2*p + w3*h
-     evaluated left to right from the weights Python computed, so every
-     comparison and tie-break matches.  The build passes -ffp-contract=off:
-     a fused multiply-add would round differently.
+     evaluated left to right from the weights Python computed (see
+     _KERNEL_FLAGS), so every comparison and tie-break matches.
 
    Jobs are rows (a, a + b, d, h) indexed by job id; row 0 is unused.  The
    caller guarantees that seq is a permutation of 1..n, that b >= 0 for
@@ -318,20 +317,9 @@ static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, 
     return 0;
 }
 
-/* SWSP.  The total tardiness of a whole sequence, for the swap pass.  */
-static i64 total_of(const i64 *seq, const job_t *J, i64 n)
-{
-    i64 c = 0, t = 0;
-    for (i64 k = 0; k < n; k++) {
-        c = fin(J, seq[k], c);
-        t += tard(J, seq[k], c);
-    }
-    return t;
-}
-
-/* (kx, x) comes before (ky, y) in the greedy's order: the smaller score,
-   and the smaller id on a tie, as greedy_construct's (key, j) tuples
-   compare.  */
+/* SWSP.  (kx, x) comes before (ky, y) in the greedy's order: the smaller
+   score, and the smaller id on a tie, as greedy_construct's (key, j)
+   tuples compare.  */
 static inline int before(double kx, i64 x, double ky, i64 y)
 {
     return kx < ky || (kx == ky && x < y);
@@ -466,23 +454,25 @@ static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, 
 }
 
 /* pairwise_swap_pass in place: every ordered pair i != j, a swap kept only
-   when it strictly lowers the total.  */
+   when it strictly lowers the total.  The running tardiness never
+   decreases, so walk returns 0 exactly when the final total is below best.  */
 static void steptardy_pairwise_swap_pass(const job_t *J, i64 n, i64 *seq)
 {
-    i64 best = total_of(seq, J, n);
+    i64 c = 0, best = 0;
+    walk(seq, J, 0, n, &c, &best, INT64_MAX);
     for (i64 i = 0; i < n; i++) {
         for (i64 j = 0; j < n; j++) {
             if (i == j)
                 continue;
-            i64 x = seq[i];
+            i64 x = seq[i], t = 0;
             seq[i] = seq[j];
             seq[j] = x;
-            i64 val = total_of(seq, J, n);
-            if (val < best) {
-                best = val;
-            } else {
+            c = 0;
+            if (walk(seq, J, 0, n, &c, &t, best)) {
                 seq[j] = seq[i];
                 seq[i] = x;
+            } else {
+                best = t;
             }
         }
     }

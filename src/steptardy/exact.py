@@ -90,6 +90,10 @@ def branch_and_bound(instance: Instance) -> OptimalResult:
     later start never makes a job shorter or less tardy, so a dominated
     label never completes to a better schedule.  ``nodes_explored`` counts
     the labels kept.  Refuses n above ``BRANCH_AND_BOUND_CAP``.
+
+    Among tied optima it returns the one its backward walk meets first (at
+    each step the lowest job id whose kept label extends to the current
+    one), not the lexicographically smallest that ``brute_force`` returns.
     """
     n = instance.n
     if n > BRANCH_AND_BOUND_CAP:

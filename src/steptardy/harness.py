@@ -114,13 +114,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """The config of a JSON file (format in README.md).  A non-object, a
-        field of the wrong type or a string where a list belongs raises one
-        ValueError; an absent field takes its default."""
+        """The config of a JSON file (format in README.md).  A non-object, an
+        unknown key, a field of the wrong type or a string where a list
+        belongs raises one ValueError; an absent field takes its default."""
         raw = json.loads(text)
         gen = (raw.get("generate") or {}) if isinstance(raw, dict) else None
         if not isinstance(gen, dict):
             raise ValueError("a config and its 'generate' entry must be JSON objects")
+        # a misspelt key would otherwise leave its field at the default
+        unknown = [
+            k for k in raw if k != "generate" and (k.startswith("gen_") or k not in _FIELD_TYPES)
+        ]
+        unknown += [f"generate.{k}" for k in gen if f"gen_{k}" not in _FIELD_TYPES]
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         given = {}
         for key in _FIELD_TYPES:
             # the generator's fields sit in "generate", without the prefix

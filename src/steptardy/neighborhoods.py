@@ -116,6 +116,9 @@ def _apply(sequence: Sequence[int], k: int, i: int, j: int) -> list[int]:
     return new
 
 
+# -ffp-contract=off: a fused multiply-add (GCC's default where the target
+# has one, as on aarch64) rounds once where Python rounds twice, so an SWSP
+# score, and then a sequence, could differ from the Python code's
 _KERNEL_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
 

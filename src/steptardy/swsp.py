@@ -8,20 +8,11 @@ constructed sequence is then polished by one pairwise-swap improvement
 pass.  The grid's bounds are the paper's, fixed as ``W1_MIN`` through
 ``W3_FALLBACK``.
 
-Here each greedy step scans every unscheduled job, so each of the n*n
-triples costs O(n^2) and the weighted search O(n^4).  It and the swap pass
-run in the C kernel of ``neighborhoods`` (``_kernel.c``, the extension
-module ``neighborhoods._kernel``) under the same conditions as
-``descend``: the kernel loaded and the instance fits int64.
-The kernel keeps the jobs in two orders by score, one for each processing
-time, carried from one triple to the next and sorted again, and takes each
-pick from their heads.  A step then reads n/64 words instead of n jobs,
-and the sort moves a job only past those whose order the step to the next
-triple reversed, few for neighbouring triples.  ``_weights`` computes the
-weights for both paths (``weight_grid`` wraps them in ``WeightTriple``s),
-and the C scores are the same double expression, so both return the same
-sequence, value and trace.
-The Python code below stays the reference and the fallback.
+The weighted search and the swap pass run in the C kernel of
+``neighborhoods`` under the same conditions as ``descend``, from the
+weights of ``_weights``; ``steptardy_weighted_search`` in ``_kernel.c``
+says why its greedy picks what the scan below picks.  The Python code
+stays the reference and the fallback.
 """
 
 from __future__ import annotations
@@ -147,19 +138,17 @@ def weighted_search(instance: Instance) -> tuple[list[int], int, list[int]]:
     """
     rows = neighborhoods._kernel_rows(instance)
     if rows is None:
-        return _weighted_search_python(instance, weight_grid(instance.n))
+        return _weighted_search_python(instance)
     seq, trace = neighborhoods._kernel.weighted_search(rows, _weights(instance.n))
     return seq, trace[-1], trace
 
 
-def _weighted_search_python(
-    instance: Instance, grid: list[WeightTriple]
-) -> tuple[list[int], int, list[int]]:
+def _weighted_search_python(instance: Instance) -> tuple[list[int], int, list[int]]:
     """``weighted_search`` in Python: the reference and the fallback."""
     best_seq: list[int] | None = None
     best_val: int | None = None
     trace = []
-    for triple in grid:
+    for triple in weight_grid(instance.n):
         seq = greedy_construct(instance, triple)
         val = total_tardiness(instance, seq)
         if best_val is None or val < best_val:

@@ -243,9 +243,10 @@ class TestBench:
             json.dumps({"generate": {"sizes": [8]}, "iter_max": "x"}),
             json.dumps({"instances": "foo.json"}),
             json.dumps({"generate": {"sizes": [8]}, "iter_max": 10, "iter_nip": 20}),
+            json.dumps({"generate": {"sizes": [8]}, "iter_mx": 50}),
         ],
         ids=["top-level-list", "string-replications", "string-iter-max", "string-instances",
-             "iter-nip-above-iter-max"],
+             "iter-nip-above-iter-max", "unknown-key"],
     )
     def test_malformed_config_fails_cleanly(self, capsys, tmp_path, text):
         path = tmp_path / "config.json"
@@ -257,8 +258,12 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "generate, key",
-        [({"sizes": [8, 8]}, "generate.sizes"), ({"sizes": [8], "seed": "0"}, "generate.seed")],
-        ids=["repeated-size", "string-seed"],
+        [
+            ({"sizes": [8, 8]}, "generate.sizes"),
+            ({"sizes": [8], "seed": "0"}, "generate.seed"),
+            ({"size": [8]}, "generate.size"),
+        ],
+        ids=["repeated-size", "string-seed", "unknown-key"],
     )
     def test_config_error_names_the_json_key(self, capsys, tmp_path, generate, key):
         path = tmp_path / "config.json"

@@ -106,6 +106,27 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "config, keys",
+        [
+            ({"generate": {"sizes": [8]}, "iter_mx": 50}, ["iter_mx"]),
+            ({"generate": {"size": [8]}}, ["generate.size"]),
+            # a field's name is no key: the generator's fields sit in "generate"
+            ({"gen_sizes": [8]}, ["gen_sizes"]),
+            ({"generate": {"sizes": [8], "gen_seed": 1}}, ["generate.gen_seed"]),
+            (
+                {"generate": {"sizes": [8], "sead": 1}, "iter_mx": 50, "bogus": 1},
+                ["iter_mx", "bogus", "generate.sead"],
+            ),
+        ],
+        ids=["misspelt", "misspelt-in-generate", "field-name", "field-name-in-generate", "several"],
+    )
+    def test_unknown_keys_refused(self, config, keys):
+        """One ValueError names every unknown key as the file spells it."""
+        with pytest.raises(ValueError, match="^unknown config keys") as raised:
+            ExperimentConfig.from_json(json.dumps(config))
+        assert str(raised.value) == f"unknown config keys {keys}"
+
 
 def test_group_of_names():
     generated = generate_instance(GenSpec(n=8, h_class=1, d_class=2, seed=4))

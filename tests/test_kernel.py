@@ -39,7 +39,6 @@ from steptardy.swsp import (
     _weighted_search_python,
     _weights,
     pairwise_swap_pass,
-    weight_grid,
     weighted_search,
 )
 
@@ -389,7 +388,7 @@ def _swsp_both(instance, seq):
     """(Python, kernel) results of the weighted search and of the swap pass
     from seq and from the weighted search's sequence."""
     assert instance._int64_rows is not None
-    found = _weighted_search_python(instance, weight_grid(instance.n))
+    found = _weighted_search_python(instance)
     python = (
         found,
         _pairwise_swap_pass_python(instance, seq),
@@ -458,7 +457,7 @@ def test_swsp_parity_with_ties(case):
 def test_weighted_search_parity_at_the_bitset_word_boundary(n):
     # the kernel's greedy keeps its n - 1 candidate jobs in 64-bit words
     instance = generate_suite([n], 0)[0]
-    assert weighted_search(instance) == _weighted_search_python(instance, weight_grid(n))
+    assert weighted_search(instance) == _weighted_search_python(instance)
 
 
 @needs_kernel
@@ -485,7 +484,7 @@ def test_swsp_out_of_kernel_range_takes_python_path(monkeypatch, rows):
     instance = make_instance(rows)
     assert instance._int64_rows is None
     monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
-    assert weighted_search(instance) == _weighted_search_python(instance, weight_grid(4))
+    assert weighted_search(instance) == _weighted_search_python(instance)
     assert pairwise_swap_pass(instance, [4, 3, 2, 1]) == _pairwise_swap_pass_python(
         instance, [4, 3, 2, 1]
     )
@@ -493,7 +492,7 @@ def test_swsp_out_of_kernel_range_takes_python_path(monkeypatch, rows):
 
 def test_swsp_missing_kernel_takes_python_path(monkeypatch, demo8):
     expected = (
-        _weighted_search_python(demo8, weight_grid(8)),
+        _weighted_search_python(demo8),
         _pairwise_swap_pass_python(demo8, [8, 7, 6, 5, 4, 3, 2, 1]),
     )
     monkeypatch.setattr(neighborhoods, "_kernel", None)
