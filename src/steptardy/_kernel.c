@@ -5,6 +5,8 @@
      It runs a first-improvement descent to a fixpoint of each neighbourhood
      in a given order in turn (one neighbourhood for descend and VNS, all
      five for VND) and returns the final total tardiness with the sequence.
+     A search passes its incumbent with the neighbourhoods it is known to be
+     a local optimum of, and the scans that could only repeat are skipped.
      The definition, and the reference these scans are tested against, is
      in neighborhoods.py: _moves lists the moves (i, j) in canonical order,
      _apply makes one, and _descend_python accepts the first move that
@@ -24,6 +26,9 @@
      greedy scores are the same double expression, w1*d + w2*p + w3*h
      evaluated left to right from the weights Python computed (see
      _KERNEL_FLAGS), so every comparison and tie-break matches.
+   - The exact DP: exact.py's branch_and_bound, a subset DP over Pareto
+     labels.  steptardy_branch_and_bound keeps the same fronts as
+     _branch_and_bound_python, the reference, and walks back the same way.
 
    Jobs are rows (a, a + b, d, h) indexed by job id; row 0 is unused.  The
    caller guarantees that seq is a permutation of 1..n, that b >= 0 for
@@ -289,8 +294,16 @@ static const struct {
    still describe seq when the next one starts.  Every accepted move must
    lower the total, which also bounds the number of moves; a scan defect
    that breaks this raises RuntimeError instead of looping for ever.
-   Returns 0, or -1 with an exception set.  */
-static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, i64 m, i64 *total)
+   Returns 0, or -1 with an exception set.
+
+   incumbent (n ids, or NULL for none) is the search's current sequence,
+   and bit k - 1 of *proven is set when it is known to be a local optimum
+   of neighbourhood k.  A scan depends only on the rows, seq and k, so a
+   scan of k while seq equals the incumbent could only find nothing again
+   once that bit is set: it is skipped.  A scan there that finds nothing
+   sets the bit.  */
+static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, i64 m,
+                             const i64 *incumbent, i64 *proven, i64 *total)
 {
     i64 *C = PyMem_Malloc((size_t)(n + 1) * 2 * sizeof *C);
     if (C == NULL) {
@@ -300,7 +313,16 @@ static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, 
     i64 *TS = C + n + 1;
     prefix_state(seq, J, n, C, TS);
     for (i64 r = 0; r < m; r++) {
-        while (SCANS[order[r]].scan(seq, J, C, TS, TS[n], n, SCANS[order[r]].L)) {
+        i64 bit = (i64)1 << (order[r] - 1);
+        for (;;) {
+            int at = incumbent != NULL && memcmp(seq, incumbent, (size_t)n * sizeof *seq) == 0;
+            if (at && (*proven & bit))
+                break;
+            if (!SCANS[order[r]].scan(seq, J, C, TS, TS[n], n, SCANS[order[r]].L)) {
+                if (at)
+                    *proven |= bit;
+                break;
+            }
             i64 before = TS[n];
             prefix_state(seq, J, n, C, TS);
             if (TS[n] >= before) {
@@ -315,6 +337,118 @@ static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, 
     *total = TS[n];
     PyMem_Free(C);
     return 0;
+}
+
+/* The exact DP: exact.py's _branch_and_bound_python, which is its
+   reference and gives the argument.  A label is a (completion time,
+   tardiness) pair of an ordering of a job subset; the front of a subset
+   is its labels by ascending C and descending T, and every front is kept,
+   in increasing subset order, in one array.  */
+typedef struct { i64 c, t; } label_t;
+
+/* The largest N whose table of 2^N + 1 front offsets (8 MB at 20) the DP
+   allocates.  */
+#define DP_MAX_JOBS 20
+
+/* Label l extended by job j.  */
+static inline label_t extend(const job_t *J, i64 j, label_t l)
+{
+    i64 c = fin(J, j, l.c);
+    return (label_t){c, l.t + tard(J, j, c)};
+}
+
+/* The optimum over jobs 1..n, 1 <= n <= DP_MAX_JOBS, in *value, one
+   optimal sequence in seq and the number of labels kept, the empty set's
+   excepted, in *labels.  Returns 0, or -1 with MemoryError set.
+
+   Python makes the front of mask from every label of every mask - j
+   extended by job j, sorted by (C, T), keeping a label only when its T is
+   below the last kept T.  That front depends only on the candidates'
+   values, so here they are merged instead of sorted: mask - j's front
+   extended by j is a run by ascending C, since a completion time is
+   increasing in the start time (the lemma above), and each step takes the
+   smallest (C, T) among the runs' heads.  The sequence is rebuilt
+   backwards from the full set's last label, the least tardy one: at each
+   step the lowest job j, and the first label of mask - j, that extends to
+   the current label.  */
+static int steptardy_branch_and_bound(const job_t *J, i64 n, i64 *seq, i64 *value, i64 *labels)
+{
+    i64 full = ((i64)1 << n) - 1;
+    size_t *start = PyMem_Malloc((size_t)(full + 2) * sizeof *start), size = 1024;
+    label_t *L = PyMem_Malloc(size * sizeof *L);
+    if (start == NULL || L == NULL)
+        goto no_memory;
+    start[0] = 0;
+    start[1] = 1;
+    L[0] = (label_t){0, 0};
+    for (i64 mask = 1; mask <= full; mask++) {
+        struct { size_t p, end; i64 j; label_t head; } run[DP_MAX_JOBS];
+        i64 k = 0;
+        size_t end = start[mask];
+        for (i64 j = 1; j <= n; j++) {
+            i64 sub = mask ^ (i64)1 << (j - 1);
+            if (sub > mask) /* j is not in mask */
+                continue;
+            run[k].p = start[sub];
+            run[k].end = start[sub + 1];
+            run[k++].j = j;
+            end += start[sub + 1] - start[sub];
+        }
+        if (end > size) {
+            while (end > size)
+                size *= 2;
+            label_t *grown = PyMem_Realloc(L, size * sizeof *L);
+            if (grown == NULL)
+                goto no_memory;
+            L = grown;
+        }
+        for (i64 r = 0; r < k; r++)
+            run[r].head = extend(J, run[r].j, L[run[r].p]);
+        end = start[mask];
+        while (k > 0) {
+            i64 q = 0;
+            for (i64 r = 1; r < k; r++)
+                if (run[r].head.c < run[q].head.c || (run[r].head.c == run[q].head.c && run[r].head.t < run[q].head.t))
+                    q = r;
+            if (end == start[mask] || run[q].head.t < L[end - 1].t)
+                L[end++] = run[q].head;
+            if (++run[q].p == run[q].end)
+                run[q] = run[--k];
+            else
+                run[q].head = extend(J, run[q].j, L[run[q].p]);
+        }
+        start[mask + 1] = end;
+    }
+    label_t cur = L[start[full + 1] - 1];
+    *value = cur.t;
+    *labels = (i64)start[full + 1] - 1;
+    for (i64 mask = full, k = n - 1; k >= 0; k--) {
+        i64 j = 1;
+        size_t p = 0;
+        for (; j <= n; j++) {
+            i64 sub = mask ^ (i64)1 << (j - 1);
+            if (sub > mask)
+                continue;
+            for (p = start[sub]; p < start[sub + 1]; p++) {
+                label_t x = extend(J, j, L[p]);
+                if (x.c == cur.c && x.t == cur.t)
+                    break;
+            }
+            if (p < start[sub + 1])
+                break;
+        }
+        seq[k] = j;
+        cur = L[p];
+        mask ^= (i64)1 << (j - 1);
+    }
+    PyMem_Free(start);
+    PyMem_Free(L);
+    return 0;
+no_memory:
+    PyMem_Free(start);
+    PyMem_Free(L);
+    PyErr_NoMemory();
+    return -1;
 }
 
 /* SWSP.  (kx, x) comes before (ky, y) in the greedy's order: the smaller
@@ -488,8 +622,11 @@ static void steptardy_pairwise_swap_pass(const job_t *J, i64 n, i64 *seq)
    (PySequence_Fast copies any other sequence into a list); an entry that
    is not an int raises TypeError, one past int64 OverflowError, and a job
    id outside 1..N or a neighbourhood id outside 1..5 ValueError, so no
-   argument makes a function read outside the rows or SCANS.  Whether a
-   sequence is a permutation is for the Python callers to check.  */
+   argument makes a function read outside the rows or SCANS.  descend's
+   incumbent is None or a sequence as long as its sequence, and its proven
+   an int in 0..31; branch_and_bound refuses more than DP_MAX_JOBS jobs
+   with ValueError.  Whether a sequence is a permutation is for the Python
+   callers to check.  */
 
 /* The job rows in rows, with the largest job id in *last; NULL with
    TypeError set unless rows is bytes of whole rows for ids 0..N, N >= 1.  */
@@ -566,19 +703,60 @@ static PyObject *pair(PyObject *a, PyObject *b)
 static PyObject *py_descend(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "descend takes 3 arguments (%zd given)", nargs);
-    i64 last, total;
-    Py_ssize_t n, m;
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError, "descend takes 5 arguments (%zd given)", nargs);
+    i64 last, total, proven;
+    Py_ssize_t n, m, ni;
     const job_t *J = job_rows(args[0], &last);
     i64 *seq = J != NULL ? read_ids(args[1], "job id", 1, last, &n) : NULL;
     i64 *order = seq != NULL ? read_ids(args[2], "neighborhood id", 1, 5, &m) : NULL;
-    PyObject *result = NULL;
-    if (order != NULL && steptardy_descend(J, n, seq, order, m, &total) == 0) {
-        PyObject *found = list_of(seq, n);
-        result = pair(found, found != NULL ? PyLong_FromLongLong(total) : NULL);
+    i64 *incumbent = NULL;
+    int ok = order != NULL;
+    if (ok && args[3] != Py_None) {
+        incumbent = read_ids(args[3], "job id", 1, last, &ni);
+        ok = incumbent != NULL;
+        if (ok && ni != n) {
+            PyErr_Format(PyExc_ValueError, "incumbent has %zd jobs, sequence %zd", ni, n);
+            ok = 0;
+        }
     }
+    if (ok) {
+        proven = PyLong_Check(args[4]) ? PyLong_AsLongLong(args[4]) : -1;
+        ok = proven >= 0 && proven <= 31;
+        if (!ok && !PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "proven must be an int in 0..31");
+    }
+    PyObject *result = NULL;
+    if (ok && steptardy_descend(J, n, seq, order, m, incumbent, &proven, &total) == 0) {
+        PyObject *found = list_of(seq, n);
+        result = found != NULL ? Py_BuildValue("(NLL)", found, (long long)total, (long long)proven) : NULL;
+    }
+    PyMem_Free(incumbent);
     PyMem_Free(order);
+    PyMem_Free(seq);
+    return result;
+}
+
+static PyObject *py_branch_and_bound(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError, "branch_and_bound takes 1 argument (%zd given)", nargs);
+    i64 n, value, labels;
+    const job_t *J = job_rows(args[0], &n);
+    if (J == NULL)
+        return NULL;
+    if (n > DP_MAX_JOBS)
+        return PyErr_Format(PyExc_ValueError, "branch_and_bound takes at most %d jobs (%lld given)", DP_MAX_JOBS,
+                            (long long)n);
+    i64 *seq = PyMem_Malloc((size_t)n * sizeof *seq);
+    if (seq == NULL)
+        return PyErr_NoMemory();
+    PyObject *result = NULL;
+    if (steptardy_branch_and_bound(J, n, seq, &value, &labels) == 0) {
+        PyObject *found = list_of(seq, n);
+        result = found != NULL ? Py_BuildValue("(LNL)", (long long)value, found, (long long)labels) : NULL;
+    }
     PyMem_Free(seq);
     return result;
 }
@@ -627,8 +805,13 @@ static PyObject *py_pairwise_swap_pass(PyObject *module, PyObject *const *args, 
 
 static PyMethodDef kernel_methods[] = {
     {"descend", (PyCFunction)(void (*)(void))py_descend, METH_FASTCALL,
-     "descend(rows, sequence, order) -> (sequence, total)\n\n"
-     "Descend through the neighborhoods in order, each to its fixpoint."},
+     "descend(rows, sequence, order, incumbent, proven) -> (sequence, total, proven)\n\n"
+     "Descend through the neighborhoods in order, each to its fixpoint, skipping\n"
+     "each scan at the incumbent (or None) of a neighborhood whose bit k - 1 is\n"
+     "set in proven; the bits of the scans there that found nothing are added."},
+    {"branch_and_bound", (PyCFunction)(void (*)(void))py_branch_and_bound, METH_FASTCALL,
+     "branch_and_bound(rows) -> (value, sequence, labels)\n\n"
+     "The exact Pareto-label DP over the jobs in rows."},
     {"weighted_search", (PyCFunction)(void (*)(void))py_weighted_search, METH_FASTCALL,
      "weighted_search(rows, weights) -> (sequence, trace)\n\n"
      "SWSP's greedy over the n * n weight triples in weights, for the n jobs in rows."},

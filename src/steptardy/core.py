@@ -75,7 +75,7 @@ class Instance:
     @cached_property
     def _int64_rows(self) -> bytes | None:
         """The columns as native int64 rows (a, ab, d, h) by job id, for the C
-        kernel's local search and SWSP.
+        kernel's local search, SWSP and exact DP.
 
         None when a value is so large that a completion time or tardiness sum
         could overflow int64: the bound is n * (sum |a| + sum |ab| + max |d|)

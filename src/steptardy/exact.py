@@ -2,8 +2,9 @@
 
 ``brute_force`` enumerates every permutation and is the oracle of record;
 ``branch_and_bound`` is a subset dynamic program over Pareto labels of
-(completion time, tardiness).  Both are exponential and guarded by explicit
-size limits.
+(completion time, tardiness), run in the C kernel when it loaded, with
+``_branch_and_bound_python`` as its reference and fallback.  Both solvers
+are exponential and guarded by explicit size limits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
+from . import neighborhoods
 from .core import Instance, total_tardiness
 
 BRUTE_FORCE_CAP = 10
@@ -94,10 +96,25 @@ def branch_and_bound(instance: Instance) -> OptimalResult:
     Among tied optima it returns the one its backward walk meets first (at
     each step the lowest job id whose kept label extends to the current
     one), not the lexicographically smallest that ``brute_force`` returns.
+
+    The DP runs in the C kernel (``steptardy_branch_and_bound`` in
+    ``_kernel.c``) under the same conditions as ``neighborhoods.descend``,
+    and otherwise in ``_branch_and_bound_python``, the reference: both
+    keep the same labels and return the same sequence.
     """
     n = instance.n
     if n > BRANCH_AND_BOUND_CAP:
         raise ValueError(f"branch and bound refused: n={n} exceeds cap {BRANCH_AND_BOUND_CAP}")
+    rows = neighborhoods._kernel_rows(instance)
+    if rows is None:
+        return _branch_and_bound_python(instance)
+    value, sequence, labels = neighborhoods._kernel.branch_and_bound(rows)
+    return OptimalResult(value, tuple(sequence), nodes_explored=labels)
+
+
+def _branch_and_bound_python(instance: Instance) -> OptimalResult:
+    """``branch_and_bound`` in Python: the reference and the fallback."""
+    n = instance.n
     a, ab, d, h = instance._columns
     jobs = [(1 << (j - 1), j) for j in range(1, n + 1)]
     full = (1 << n) - 1

@@ -17,7 +17,10 @@ identical results, iteration counts included.
 An iteration's local search, a whole VND or one descent, is a single call
 of ``neighborhoods._local_search``, which returns the total tardiness with
 the sequence, so the loops evaluate only their start and each
-perturbation themselves.
+perturbation themselves.  Each loop also passes its incumbent with
+``proven``, the mask of the neighborhoods the incumbent is known to be a
+local optimum of (see ``_local_search``), and zeroes the mask whenever
+the incumbent changes: on an accepted candidate and on a perturbation.
 """
 
 from __future__ import annotations
@@ -111,6 +114,7 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
     cur = edd_sequence(instance)
     cur_val = total_tardiness(instance, cur)
     best, best_val = list(cur), cur_val
+    proven = 0  # the neighborhoods cur is known to be a local optimum of
     iter1 = iter2 = iter3 = 0
     perturbations = 0
     k = 1
@@ -118,9 +122,9 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
     while True:
         order = list(NEIGHBORHOOD_IDS)
         rng_order.shuffle(order)
-        cand, cand_val = _local_search(instance, shake(cur, k, rng_shake), order)
+        cand, cand_val, proven = _local_search(instance, shake(cur, k, rng_shake), order, cur, proven)
         if cand_val < cur_val:
-            cur, cur_val = cand, cand_val
+            cur, cur_val, proven = cand, cand_val, 0
             iter2 = 0
             iter3 = 0
             if cur_val < best_val:
@@ -134,6 +138,7 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
             if instance.n >= 4:
                 cur = perturb_three_opt(cur, rng_perturb)
                 cur_val = total_tardiness(instance, cur)
+                proven = 0
             # below 4 jobs the perturbation is the identity; the counter
             # still resets so the trigger is not re-armed every iteration
             iter3 = 0
@@ -164,13 +169,14 @@ def vns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
 
     cur = edd_sequence(instance)
     cur_val = total_tardiness(instance, cur)
+    proven = 0
     iter1 = iter2 = 0
     k = 1
     trace = []
     while True:
-        cand, cand_val = _local_search(instance, shake(cur, k, rng_shake), (k,))
+        cand, cand_val, proven = _local_search(instance, shake(cur, k, rng_shake), (k,), cur, proven)
         if cand_val < cur_val:
-            cur, cur_val = cand, cand_val
+            cur, cur_val, proven = cand, cand_val, 0
             iter2 = 0
         else:
             k = k % len(NEIGHBORHOOD_IDS) + 1

@@ -29,17 +29,20 @@ strictly lower total tardiness, and repeats until none has.
 
 ``_kernel.c`` runs that descent in int64 with one pruned scan per move
 shape, each keeping the same first improving move (its comments say why),
-and also SWSP's weighted search and swap pass (see ``swsp``).  On first
-import it is compiled, with the C compiler Python was built with and
-Python's headers, into this package's ``__pycache__`` under a name keyed
-by the hash of its source, the compile flags and the interpreter, and
-imported as the extension module ``steptardy._kernel``: its functions take
-and return lists of ints.  ``_local_search`` runs the whole chain of
-descents in one ``_kernel.descend`` call whenever the kernel loaded and
-the instance has integer values small enough for int64
-(``Instance._int64_rows``); otherwise it runs ``_descend_python``, the
-definition itself, which stays the reference, for each neighborhood in
-turn.  Both return the same sequence and total.
+and also SWSP's weighted search and swap pass (see ``swsp``) and the exact
+DP (see ``exact``).  On first import it is compiled, with the C compiler
+Python was built with and Python's headers, into this package's
+``__pycache__`` under a name keyed by the hash of its source, the compile
+flags and the interpreter, and imported as the extension module
+``steptardy._kernel``: its functions take and return lists of ints.
+``_local_search`` runs the whole chain of descents in one
+``_kernel.descend`` call whenever the kernel loaded and the instance has
+integer values small enough for int64 (``Instance._int64_rows``);
+otherwise it runs ``_descend_python``, the definition itself, which stays
+the reference, for each neighborhood in turn.  Both return the same
+sequence and total.  Given a search's incumbent and the neighborhoods it
+is a known local optimum of, the kernel also skips each scan that could
+only repeat one already done.
 """
 
 from __future__ import annotations
@@ -228,10 +231,22 @@ def _descend_python(instance: Instance, sequence: Sequence[int], k: int) -> list
 
 
 def _local_search(
-    instance: Instance, sequence: Sequence[int], order: Sequence[int]
-) -> tuple[list[int], int]:
+    instance: Instance,
+    sequence: Sequence[int],
+    order: Sequence[int],
+    incumbent: Sequence[int] | None = None,
+    proven: int = 0,
+) -> tuple[list[int], int, int]:
     """Descend through the neighborhoods in ``order`` in turn, each to its
-    fixpoint; returns the sequence and its total tardiness.
+    fixpoint; returns the sequence, its total tardiness and ``proven``.
+
+    ``proven`` has bit k - 1 set when ``incumbent``, a search's current
+    sequence, is known to be a local optimum of neighborhood k.  A scan
+    depends only on the instance, the sequence and k, so the kernel skips
+    each scan of such a k while the sequence equals the incumbent, and
+    returns ``proven`` with the bit of every scan at the incumbent that
+    found nothing added; the caller zeroes it when its incumbent changes.
+    The Python code ignores it and returns 0.
 
     The caller has checked that ``order`` holds neighborhood ids and that
     ``sequence`` is a permutation of the job ids: ``descend`` and ``vnd``
@@ -241,11 +256,11 @@ def _local_search(
     """
     rows = _kernel_rows(instance)
     if rows is not None:
-        return _kernel.descend(rows, sequence, order)
+        return _kernel.descend(rows, sequence, order, incumbent, proven)
     seq = list(sequence)
     for k in order:
         seq = _descend_python(instance, seq, k)
-    return seq, total_tardiness(instance, seq)
+    return seq, total_tardiness(instance, seq), 0
 
 
 def descend(instance: Instance, sequence: Sequence[int], k: int) -> list[int]:

@@ -1,21 +1,24 @@
 """The C kernel against the Python reference, and when each one runs.
 
 ``_local_search`` (behind ``descend``, ``vnd``, ``gvns`` and ``vns``),
-SWSP's ``weighted_search`` and ``pairwise_swap_pass`` run ``_kernel.c``
-when it built and the instance fits int64, and their Python code
-otherwise.  The two must return the same result for every input.  A
-kernel that silently failed to build would make every search some 70-100x
-slower (a default GVNS run at n=25 and n=50 on one core), so its absence is
-a failure wherever a C compiler and Python's headers exist, and so is a
-compiler warning in it.
+SWSP's ``weighted_search`` and ``pairwise_swap_pass`` and the exact
+``branch_and_bound`` run ``_kernel.c`` when it built and the instance fits
+int64, and their Python code otherwise.  The two must return the same
+result for every input, and the scans a search skips at an incumbent it
+has proven must change none.  A kernel that silently failed to build
+would make every search some 70-100x slower (a default GVNS run at n=25
+and n=50 on one core), so its absence is a failure wherever a C compiler
+and Python's headers exist, and so is a compiler warning in it.
 """
 
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import sysconfig
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -32,7 +35,9 @@ from steptardy import (
     total_tardiness,
     vnd,
 )
-from steptardy import neighborhoods
+from steptardy import metaheuristics, neighborhoods
+from steptardy.exact import _branch_and_bound_python, branch_and_bound
+from steptardy.metaheuristics import SearchParams, gvns, vns
 from steptardy.neighborhoods import _descend_python
 from steptardy.swsp import (
     _pairwise_swap_pass_python,
@@ -87,8 +92,8 @@ def _both(instance, seq, k):
 def _chain_kernel(instance, seq, order):
     """The kernel's local search through ``order``, its total checked
     against a Python evaluation of its sequence."""
-    found, total = neighborhoods._kernel.descend(instance._int64_rows, seq, order)
-    assert total == total_tardiness(instance, found)
+    found, total, proven = neighborhoods._kernel.descend(instance._int64_rows, seq, order, None, 0)
+    assert total == total_tardiness(instance, found) and proven == 0
     return found, total
 
 
@@ -207,6 +212,92 @@ def test_parity_near_the_int64_bound():
         assert kernel == python
 
 
+@needs_kernel
+@pytest.mark.parametrize("n", range(1, 13))
+def test_branch_and_bound_parity_on_generated_instances(n):
+    # the same value, sequence and label count: the C DP keeps the same
+    # fronts and walks back the same way
+    for instance in generate_suite([n], 0):
+        assert branch_and_bound(instance) == _branch_and_bound_python(instance), instance.name
+
+
+@needs_kernel
+@settings(max_examples=200, deadline=None)
+@given(tied_cases())
+def test_branch_and_bound_parity_with_ties(case):
+    # equal (C, T) labels from different jobs, where the backward walk's
+    # choice of the lowest job id decides the sequence
+    instance, _ = case
+    assert branch_and_bound(instance) == _branch_and_bound_python(instance)
+
+
+def _fixpoints(instance, seq):
+    """The bitmask, bit k - 1 for neighborhood k, of the neighborhoods in
+    which seq is a local optimum, by the Python definition."""
+    return sum(1 << (k - 1) for k in NEIGHBORHOOD_IDS if _descend_python(instance, seq, k) == seq)
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "instance", generate_suite([8, 10], 0) + generate_suite([25], 0)[::3], ids=lambda inst: inst.name
+)
+def test_skip_at_a_proven_incumbent_changes_no_result(instance):
+    """A local search told which neighborhoods its incumbent is a local
+    optimum of returns what it returns when told nothing, from the
+    incumbent and from sequences one shake away (which differ from it while
+    its bits are set), and every bit it returns is a real fixpoint."""
+    rng = random.Random(instance.name)
+    rows, kernel = instance._int64_rows, neighborhoods._kernel
+    optimum = _joint_local_optimum(instance)
+    start = rng.sample(range(1, instance.n + 1), instance.n)
+    for incumbent in (optimum, shake(optimum, 2, rng), start):
+        truth = _fixpoints(instance, incumbent)
+        for seq in [incumbent] + [shake(incumbent, k, rng) for k in NEIGHBORHOOD_IDS]:
+            for order in ([rng.choice(NEIGHBORHOOD_IDS)], rng.sample(NEIGHBORHOOD_IDS, 5)):
+                plain = kernel.descend(rows, seq, order, None, 0)
+                for proven in (0, truth & rng.randrange(32), truth):
+                    found, total, bits = kernel.descend(rows, seq, order, incumbent, proven)
+                    assert (found, total) == plain[:2], (incumbent, proven, seq, order)
+                    assert bits & proven == proven and bits & ~truth == 0, (incumbent, proven, bits)
+    # a scan at the incumbent that finds nothing sets its bit
+    assert kernel.descend(rows, optimum, NEIGHBORHOOD_IDS, optimum, 0)[2] == 31
+
+
+@needs_kernel
+@pytest.mark.parametrize("search", [gvns, vns])
+@pytest.mark.parametrize("instance", generate_suite([8, 10, 25], 0), ids=lambda inst: inst.name)
+def test_search_masks_are_true_and_change_no_result(monkeypatch, search, instance):
+    """gvns and vns pass only bits that are real fixpoints of the incumbent
+    they pass, so a mask kept past a change of incumbent fails here (on a
+    few of these runs only), and they give the same runs when they keep no
+    mask at all."""
+    rows, kernel = instance._int64_rows, neighborhoods._kernel
+    fixpoints = {}
+    used = []
+
+    def checked(instance, sequence, order, incumbent, proven):
+        key = tuple(incumbent)
+        if key not in fixpoints:
+            # the plain kernel descent, held to the Python one above
+            fixpoints[key] = sum(1 << (k - 1) for k in NEIGHBORHOOD_IDS
+                                 if kernel.descend(rows, incumbent, [k], None, 0)[0] == incumbent)
+        assert proven & ~fixpoints[key] == 0, (incumbent, proven)
+        used.append(proven)
+        return neighborhoods._local_search(instance, sequence, order, incumbent, proven)
+
+    def without_mask(instance, sequence, order, incumbent, proven):
+        return neighborhoods._local_search(instance, sequence, order)
+
+    for seed in range(3):
+        params = SearchParams(iter_max=150, iter_nip=40, seed=seed)
+        monkeypatch.setattr(metaheuristics, "_local_search", checked)
+        skipping = search(instance, params)
+        monkeypatch.setattr(metaheuristics, "_local_search", without_mask)
+        plain = search(instance, params)
+        assert replace(skipping, elapsed=0.0) == replace(plain, elapsed=0.0)
+    assert any(used)
+
+
 class _NoKernel:
     """A kernel whose every function fails the test: it must not run here."""
 
@@ -228,12 +319,14 @@ def test_out_of_kernel_range_takes_python_path(monkeypatch, rows):
     monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
     for k in NEIGHBORHOOD_IDS:
         assert descend(instance, [4, 3, 2, 1], k) == _descend_python(instance, [4, 3, 2, 1], k)
+    assert branch_and_bound(instance) == _branch_and_bound_python(instance)
 
 
 def test_missing_kernel_takes_python_path(monkeypatch, demo8):
     expected = [_descend_python(demo8, [8, 7, 6, 5, 4, 3, 2, 1], k) for k in NEIGHBORHOOD_IDS]
     monkeypatch.setattr(neighborhoods, "_kernel", None)
     assert [descend(demo8, [8, 7, 6, 5, 4, 3, 2, 1], k) for k in NEIGHBORHOOD_IDS] == expected
+    assert branch_and_bound(demo8) == _branch_and_bound_python(demo8)
 
 
 @needs_kernel
@@ -265,7 +358,7 @@ def test_sequence_checked_before_the_kernel(monkeypatch, demo8):
 def test_kernel_refuses_an_unknown_neighborhood(demo8, order):
     seq = [8, 7, 6, 5, 4, 3, 2, 1]
     with pytest.raises(ValueError, match="outside 1..5"):
-        neighborhoods._kernel.descend(demo8._int64_rows, seq, list(order))
+        neighborhoods._kernel.descend(demo8._int64_rows, seq, list(order), None, 0)
     # the kernel works on its own copy: the caller's sequence is never written
     assert seq == [8, 7, 6, 5, 4, 3, 2, 1]
 
@@ -293,18 +386,23 @@ FAILURES = {
     MemoryError: [
         # the prefix arrays cannot be allocated
         (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 2 * sizeof *C);", "i64 *C = NULL;"),
-         "descend(rows, seq, [2, 4])", ""),
+         "descend(rows, seq, [2, 4], None, 0)", ""),
         # the greedy's arrays cannot be allocated
         (("i64 *seq = PyMem_Malloc((size_t)(n + 3 * r + 4 * (n + 1) + 2 * nw) * sizeof *seq);",
           "i64 *seq = NULL;"),
          "weighted_search(rows, _weights(10))", ""),
+        # the DP's labels cannot be allocated, or grown (past 1,024 at n=10)
+        (("label_t *L = PyMem_Malloc(size * sizeof *L);", "label_t *L = NULL;"),
+         "branch_and_bound(rows)", ""),
+        (("label_t *grown = PyMem_Realloc(L, size * sizeof *L);", "label_t *grown = NULL;"),
+         "branch_and_bound(rows)", ""),
     ],
-    ValueError: [(None, "descend(rows, seq, [2, 9])", "outside 1..5")],
+    ValueError: [(None, "descend(rows, seq, [2, 9], None, 0)", "outside 1..5")],
     # the defect that once made descend loop for ever inside C: without
     # max(0, .) a step lowers the running tardiness of an early job, so a
     # scan accepts a move that does not lower the total
     RuntimeError: [
-        (("*t += late > 0 ? late : 0;", "*t += late;"), "descend(rows, seq, [4])",
+        (("*t += late > 0 ? late : 0;", "*t += late;"), "descend(rows, seq, [4], None, 0)",
          "neighborhood 4 that did not lower"),
     ],
 }
@@ -342,6 +440,64 @@ def test_kernel_failures_raise_their_own_errors(tmp_path, error, mutation, call,
     assert out.startswith(error.__name__) and message in out, out
 
 
+# the parity cases of the four entry points, for a kernel built with
+# UBSan: int64 overflow, a shift past the width and an out-of-bounds index
+# abort the process instead of passing unseen
+UBSAN_PARITY = """
+import random
+from steptardy import neighborhoods as m, generate_suite, NEIGHBORHOOD_IDS, total_tardiness
+from steptardy.exact import branch_and_bound, _branch_and_bound_python
+from steptardy.swsp import (_pairwise_swap_pass_python, _weighted_search_python,
+                            pairwise_swap_pass, weighted_search)
+from conftest import make_instance
+m._kernel = m._import_kernel(LIBRARY)
+rng = random.Random(0)
+big = 2**54
+near = make_instance([(rng.randint(1, big), rng.randint(0, big), rng.randint(0, 4 * big),
+                       rng.randint(0, 4 * big)) for _ in range(6)])
+instances = generate_suite([1, 2, 5, 8, 10, 25], 0)[::2] + [near]
+for instance in instances:
+    n, rows = instance.n, instance._int64_rows
+    seq = rng.sample(range(1, n + 1), n)
+    order = rng.sample(NEIGHBORHOOD_IDS, 5)
+    python = seq
+    for k in order:
+        assert m._kernel.descend(rows, seq, [k], None, 0)[0] == m._descend_python(instance, seq, k)
+        python = m._descend_python(instance, python, k)
+    found, total, proven = m._kernel.descend(rows, seq, order, None, 0)
+    assert (found, total) == (python, total_tardiness(instance, python))
+    again = m._kernel.descend(rows, found, order, found, 0)
+    assert m._kernel.descend(rows, found, order, found, again[2])[:2] == again[:2] == (found, total)
+    assert weighted_search(instance) == _weighted_search_python(instance)
+    assert pairwise_swap_pass(instance, seq) == _pairwise_swap_pass_python(instance, seq)
+    if n <= 10:
+        assert branch_and_bound(instance) == _branch_and_bound_python(instance)
+print("ok", len(instances))
+"""
+
+
+@needs_compiler
+def test_kernel_parity_under_ubsan(tmp_path):
+    # the compiler prints a bare name for a library it does not find
+    found = subprocess.run(COMPILER + ["-print-file-name=libubsan.so"], capture_output=True, text=True)
+    if found.returncode != 0 or not os.path.isabs(found.stdout.strip()):
+        pytest.skip(f"{COMPILER[0]} finds no libubsan")
+    library = tmp_path / "_kernel.so"
+    subprocess.run(
+        neighborhoods._kernel_command()
+        + ["-fsanitize=undefined", "-fno-sanitize-recover=all", "-o", str(library), str(KERNEL_SOURCE)],
+        check=True,
+        capture_output=True,
+    )
+    # conftest is importable from the fresh interpreter's working directory
+    out = _run_python(
+        Path(__file__).parent,
+        f"LIBRARY = {str(library)!r}\n" + UBSAN_PARITY,
+        Path(neighborhoods.__file__).parents[1],
+    )
+    assert out.startswith("ok"), out
+
+
 @needs_kernel
 @pytest.mark.parametrize(
     "seq, error", [([2.0, 1.0], TypeError), ([2**64, 1], OverflowError)], ids=["float", "huge"]
@@ -350,8 +506,9 @@ def test_kernel_buffers_refuse_what_int64_cannot_hold(seq, error):
     # each id is read as an int64 before any C call, so nothing reaches the kernel
     rows = make_instance([(1, 0, 0, 0), (2, 0, 0, 0)])._int64_rows
     for call in (
-        lambda: neighborhoods._kernel.descend(rows, seq, [1]),
-        lambda: neighborhoods._kernel.descend(rows, [2, 1], seq),
+        lambda: neighborhoods._kernel.descend(rows, seq, [1], None, 0),
+        lambda: neighborhoods._kernel.descend(rows, [2, 1], seq, None, 0),
+        lambda: neighborhoods._kernel.descend(rows, [2, 1], [1], seq, 0),
         lambda: neighborhoods._kernel.pairwise_swap_pass(rows, seq),
     ):
         with pytest.raises(error):
@@ -364,23 +521,39 @@ def test_kernel_refuses_arguments_outside_its_rows():
     # outside the buffer
     rows = make_instance([(1, 0, 0, 0), (2, 0, 0, 0)])._int64_rows
     kernel = neighborhoods._kernel
-    for call, error in (
-        (lambda: kernel.descend(rows, [0, 1], [1]), ValueError),
-        (lambda: kernel.descend(rows, [3, 1], [1]), ValueError),
-        (lambda: kernel.pairwise_swap_pass(rows, [1, 3]), ValueError),
+    for call, error, message in (
+        (lambda: kernel.descend(rows, [0, 1], [1], None, 0), ValueError, "job id 0"),
+        (lambda: kernel.descend(rows, [3, 1], [1], None, 0), ValueError, "job id 3"),
+        (lambda: kernel.pairwise_swap_pass(rows, [1, 3]), ValueError, "job id 3"),
+        # the incumbent is compared with the sequence entry by entry, and
+        # proven has one bit per neighborhood
+        (lambda: kernel.descend(rows, [2, 1], [1], [3, 1], 0), ValueError, "job id 3"),
+        (lambda: kernel.descend(rows, [2, 1], [1], [1], 0), ValueError, "incumbent has 1"),
+        (lambda: kernel.descend(rows, [2, 1], [1], [1, 2], 32), ValueError, "proven"),
+        (lambda: kernel.descend(rows, [2, 1], [1], [1, 2], -1), ValueError, "proven"),
+        (lambda: kernel.descend(rows, [2, 1], [1], [1, 2], 1.0), ValueError, "proven"),
+        (lambda: kernel.descend(rows, [2, 1], [1], [1, 2], 2**64), OverflowError, "too big"),
+        (lambda: kernel.descend(rows, [2, 1], [1]), TypeError, "5 arguments"),
         # the weights are for n * n triples, n the number of rows past row 0
-        (lambda: kernel.weighted_search(rows, _weights(3)), TypeError),
-        (lambda: kernel.weighted_search(rows, _weights(1)), TypeError),
-        (lambda: kernel.weighted_search(rows, 2, _weights(2)), TypeError),
-        (lambda: kernel.descend(rows[:-8], [2, 1], [1]), TypeError),
-        (lambda: kernel.descend(list(rows), [2, 1], [1]), TypeError),
-        (lambda: kernel.pairwise_swap_pass(rows, 12), TypeError),
+        (lambda: kernel.weighted_search(rows, _weights(3)), TypeError, "3 * 4"),
+        (lambda: kernel.weighted_search(rows, _weights(1)), TypeError, "3 * 4"),
+        (lambda: kernel.weighted_search(rows, 2, _weights(2)), TypeError, "2 arguments"),
+        (lambda: kernel.descend(rows[:-8], [2, 1], [1], None, 0), TypeError, "rows"),
+        (lambda: kernel.descend(list(rows), [2, 1], [1], None, 0), TypeError, "rows"),
+        (lambda: kernel.pairwise_swap_pass(rows, 12), TypeError, "sequence of ids"),
+        (lambda: kernel.branch_and_bound(rows[:-8]), TypeError, "rows"),
+        (lambda: kernel.branch_and_bound(rows, rows), TypeError, "1 argument"),
+        # the DP's table holds 2^N + 1 front offsets: N past its bound is
+        # refused before anything is allocated
+        (lambda: kernel.branch_and_bound(bytes(32 * 22)), ValueError, "at most 20 jobs (21 given)"),
+        (lambda: kernel.branch_and_bound(bytes(32 * 65)), ValueError, "at most 20 jobs (64 given)"),
         # rows holding only row 0 hold no job
-        (lambda: kernel.descend(rows[:32], [], [1]), TypeError),
-        (lambda: kernel.weighted_search(rows[:32], _weights(1)), TypeError),
-        (lambda: kernel.pairwise_swap_pass(rows[:32], []), TypeError),
+        (lambda: kernel.descend(rows[:32], [], [1], None, 0), TypeError, "rows"),
+        (lambda: kernel.weighted_search(rows[:32], _weights(1)), TypeError, "rows"),
+        (lambda: kernel.pairwise_swap_pass(rows[:32], []), TypeError, "rows"),
+        (lambda: kernel.branch_and_bound(rows[:32]), TypeError, "rows"),
     ):
-        with pytest.raises(error):
+        with pytest.raises(error, match=re.escape(message)):
             call()
 
 
