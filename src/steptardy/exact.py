@@ -4,7 +4,7 @@
 ``branch_and_bound`` is a subset dynamic program over Pareto labels of
 (completion time, tardiness), run in the C kernel when it loaded, with
 ``_branch_and_bound_python`` as its reference and fallback.  Both solvers
-are exponential and guarded by explicit size limits.
+are exponential and refuse n past a cap, the same cap on either path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import neighborhoods
 from .core import Instance, total_tardiness
 
 BRUTE_FORCE_CAP = 10
-BRANCH_AND_BOUND_CAP = 12
+BRANCH_AND_BOUND_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ def branch_and_bound(instance: Instance) -> OptimalResult:
     label beats on both C and T, one per equal (C, T).  With every b >= 0 a
     later start never makes a job shorter or less tardy, so a dominated
     label never completes to a better schedule.  ``nodes_explored`` counts
-    the labels kept.  Refuses n above ``BRANCH_AND_BOUND_CAP``.
+    the labels kept.  Refuses n above ``BRANCH_AND_BOUND_CAP``, the kernel's
+    ``DP_MAX_JOBS``, before either path runs.
 
     Among tied optima it returns the one its backward walk meets first (at
     each step the lowest job id whose kept label extends to the current

@@ -143,8 +143,7 @@ def export_lp(model: MilpModel) -> str:
     """
     lines = ["Minimize", " obj: " + " + ".join(model.objective), "Subject To"]
     for con in model.constraints:
-        sense = "=" if con.sense == "=" else "<="
-        lines.append(f" {con.name}: {_terms_text(con.terms)} {sense} {con.rhs}")
+        lines.append(f" {con.name}: {_terms_text(con.terms)} {con.sense} {con.rhs}")
     lines.append("Bounds")
     for var in model.continuous:
         lines.append(f" {var} >= 0")

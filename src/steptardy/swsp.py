@@ -85,16 +85,15 @@ def greedy_construct(instance: Instance, triple: WeightTriple) -> list[int]:
     c = a[first]  # first start is 0 <= h for any h >= 0
     w1, w2, w3 = triple.w1, triple.w2, triple.w3
     while unscheduled:
-        nxt = None
-        best_key = None
+        nxt = best_key = None
         for j in unscheduled:
             p = a[j] if c <= h[j] else ab[j]
             key = (w1 * d[j] + w2 * p + w3 * h[j], j)
             if best_key is None or key < best_key:
-                best_key, nxt = key, j
+                best_key, nxt, step = key, j, p
         seq.append(nxt)
         unscheduled.remove(nxt)
-        c += a[nxt] if c <= h[nxt] else ab[nxt]
+        c += step
     return seq
 
 

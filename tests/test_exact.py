@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -17,7 +18,7 @@ from steptardy import (
     vns,
     SearchParams,
 )
-from steptardy import exact
+from steptardy import exact, neighborhoods
 from steptardy.exact import BRANCH_AND_BOUND_CAP
 
 from conftest import instances, make_instance, random_instance, tied_cases
@@ -141,11 +142,33 @@ class TestBranchAndBound:
         instance = generate_suite([n], 0)[group]
         assert branch_and_bound(instance).best_value == solve_with_highs(build_model(instance))
 
-    def test_size_cap(self):
-        rng = random.Random(13)
-        assert branch_and_bound(random_instance(rng, BRANCH_AND_BOUND_CAP)).proven
-        with pytest.raises(ValueError, match="cap"):
-            branch_and_bound(random_instance(rng, BRANCH_AND_BOUND_CAP + 1))
+    def test_size_cap(self, monkeypatch):
+        # identical jobs: every order is optimal and every subset's front
+        # holds one label, so the kernel solves n = cap in well under a second
+        cap = BRANCH_AND_BOUND_CAP
+        tied = make_instance([(3, 2, 20, 10)] * cap)
+        over = make_instance([(3, 2, 20, 10)] * (cap + 1))
+        if neighborhoods._kernel is not None:
+            # the cap is the kernel's DP_MAX_JOBS: with a smaller kernel
+            # limit the kernel would raise its own message here, and with a
+            # larger one it would not refuse cap + 1 itself
+            result = branch_and_bound(tied)
+            assert sorted(result.best_sequence) == list(range(1, cap + 1))
+            assert result.best_value == total_tardiness(tied, result.best_sequence) > 0
+            with pytest.raises(ValueError, match=re.escape(f"at most {cap} jobs ({cap + 1} given)")):
+                neighborhoods._kernel.branch_and_bound(over._int64_rows)
+
+        # one cap and one message on both paths, checked before either runs
+        def no_work(instance):
+            raise AssertionError("the Python DP ran past the cap")
+
+        monkeypatch.setattr(exact, "_branch_and_bound_python", no_work)
+        refused = re.escape(f"branch and bound refused: n={cap + 1} exceeds cap {cap}")
+        with pytest.raises(ValueError, match=refused):
+            branch_and_bound(over)
+        monkeypatch.setattr(neighborhoods, "_kernel", None)
+        with pytest.raises(ValueError, match=refused):
+            branch_and_bound(over)
 
     @pytest.mark.parametrize(
         "rows",
