@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Walk the 8-job demo instance through every solver in the package.
 
-Prints the constructive stages (first weight triple, weighted-search best,
-swap-pass result), the exact optimum from enumeration and branch and bound,
-and a seeded GVNS/VNS run, so the whole pipeline can be eyeballed at once.
+Prints the constructive stages of SWSP (EDD start, first weight triple,
+weighted-search best, swap-pass result), then every method of
+``steptardy.harness.METHODS`` run through ``harness.solve``, which checks the
+value each one reports, so the whole pipeline can be eyeballed at once.
 """
 
 import sys
@@ -16,17 +17,13 @@ from steptardy import (
     Job,
     SearchParams,
     WeightTriple,
-    branch_and_bound,
-    brute_force,
     edd_sequence,
     evaluate_schedule,
     greedy_construct,
-    gvns,
     pairwise_swap_pass,
-    swsp,
     total_tardiness,
-    vns,
 )
+from steptardy.harness import METHODS, solve
 from steptardy.swsp import weighted_search
 
 DEMO8 = Instance(
@@ -44,8 +41,8 @@ DEMO8 = Instance(
 )
 
 
-def show(label, seq, value):
-    print(f"{label:<28} {value:>5}  {list(seq)}")
+def show(label, seq, value, note=""):
+    print(f"{label:<28} {value:>5}  {list(seq)}{note}")
 
 
 def main() -> int:
@@ -62,20 +59,9 @@ def main() -> int:
     swapped = pairwise_swap_pass(inst, stage_seq)
     show("after swap pass", swapped, total_tardiness(inst, swapped))
 
-    run = swsp(inst)
-    show("swsp (full procedure)", run.best_sequence, run.best_value)
-
-    bf = brute_force(inst)
-    show("brute force optimum", bf.best_sequence, bf.best_value)
-
-    bb = branch_and_bound(inst)
-    print(f"{'branch and bound':<28} {bb.best_value:>5}  "
-          f"{list(bb.best_sequence)}  ({bb.nodes_explored} labels)")
-
-    for name, solver in (("gvns", gvns), ("vns", vns)):
-        result = solver(inst, SearchParams(seed=0))
-        print(f"{name:<28} {result.best_value:>5}  {list(result.best_sequence)}  "
-              f"({result.iterations} iterations, {result.elapsed:.2f}s)")
+    for method in METHODS:
+        result, seconds = solve(inst, method, SearchParams(seed=0))
+        show(method, result.best_sequence, result.best_value, f"  ({seconds:.2f}s)")
 
     detail = evaluate_schedule(inst, swapped)
     print("\nswap-pass schedule detail (job, start, processing, completion, tardiness):")

@@ -67,7 +67,8 @@ static inline i64 fin(const job_t *J, i64 x, i64 s)
 
 static inline i64 tard(const job_t *J, i64 x, i64 c)
 {
-    return c > J[x].d ? c - J[x].d : 0;
+    i64 late = c - J[x].d;
+    return late > 0 ? late : 0;
 }
 
 static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS)
@@ -94,10 +95,8 @@ static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS)
    tail_eval's final t < total.  */
 static inline int step(const job_t *J, i64 x, i64 *c, i64 *t, i64 total)
 {
-    const job_t *j = &J[x];
-    *c += *c <= j->h ? j->a : j->ab;
-    i64 late = *c - j->d;
-    *t += late > 0 ? late : 0;
+    *c = fin(J, x, *c);
+    *t += tard(J, x, *c);
     return *t >= total;
 }
 

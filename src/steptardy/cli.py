@@ -10,18 +10,18 @@ Subcommands:
 All results go to stdout (or the requested output file); wall-clock timings
 and diagnostics go to stderr, so stdout is byte-identical across repeated
 invocations with the same flags and seeds.  ``solve`` takes a method, a
-seed and the vns/gvns stopping rule.  The SWSP weight grid and the GVNS
-neighborhoods and perturbation trigger are the paper's, and they and the
-exact solvers' size caps are constants of the library.
+seed and the vns/gvns stopping rule, and like ``bench`` it re-evaluates the
+reported sequence and fails on a value that differs.  The SWSP weight grid
+and the GVNS neighborhoods and perturbation trigger are the paper's, and
+they and the exact solvers' size caps are constants of the library.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from .core import evaluate_schedule, instance_to_json, load_instance
+from .core import evaluate_schedule, instance_to_json, load_instance, write_text
 from .generator import GenSpec, generate_instance
 from .harness import METHODS, ExperimentConfig, render_markdown, run_benchmark, solve
 from .metaheuristics import SearchParams
@@ -37,8 +37,7 @@ def _parse_sequence(text: str) -> list[int]:
 
 def _write_output(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -81,13 +80,11 @@ _SOLVE_LINES = {
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     params = SearchParams(iter_max=args.iter_max, iter_nip=args.iter_nip, seed=args.seed)
-    t0 = time.perf_counter()
-    res = solve(instance, args.method, params)
-    elapsed = time.perf_counter() - t0
+    res, seconds = solve(instance, args.method, params)
     sequence = ",".join(map(str, res.best_sequence))
     lines = [f"value {res.best_value}", f"sequence {sequence}", *_SOLVE_LINES[args.method](res)]
     print("\n".join(lines))
-    print(f"elapsed {elapsed:.2f}s", file=sys.stderr)
+    print(f"elapsed {seconds:.2f}s", file=sys.stderr)
     return 0
 
 
@@ -102,8 +99,7 @@ def _cmd_bench(args) -> int:
     else:
         sys.stdout.write(report.csv_text)
     if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_markdown(report.rows))
+        write_text(args.markdown, render_markdown(report.rows))
     return 0
 
 

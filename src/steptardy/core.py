@@ -286,9 +286,15 @@ def instance_from_json(text: str) -> Instance:
     return Instance(jobs=jobs, name=payload.get("name", ""), seed=payload.get("seed"))
 
 
-def save_instance(instance: Instance, path) -> None:
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with "\\n" line ends on every platform,
+    so a file's bytes depend on its text alone."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(instance_to_json(instance))
+        fh.write(text)
+
+
+def save_instance(instance: Instance, path) -> None:
+    write_text(path, instance_to_json(instance))
 
 
 def load_instance(path) -> Instance:

@@ -43,14 +43,21 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "h_class", "d_class", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True would be named and drawn as 1
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int (got {value!r})")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float)):
+            raise ValueError(f"tau must be a number (got {self.tau!r})")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.h_class not in H_CLASSES:
             raise ValueError(f"h_class must be one of {H_CLASSES}")
         if self.d_class not in D_CLASSES:
             raise ValueError(f"d_class must be one of {D_CLASSES}")
-        if not isfinite(self.tau):
-            raise ValueError(f"tau must be finite (got {self.tau})")
+        if not isfinite(100 * self.tau):
+            raise ValueError(f"tau must be finite, and so must 100*tau (got {self.tau})")
         if int(100 * self.tau) < 1:
             raise ValueError("tau too small: the penalty interval (0, 100*tau] is empty")
 

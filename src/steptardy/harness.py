@@ -1,17 +1,17 @@
 """Experiment orchestration: metrics, benchmark runs and CSV reporting.
 
-``METHODS`` is the one list of method names and ``solve`` the one place
-that runs a method, for ``bench`` and the CLI's ``solve``.
+``METHODS`` is the one list of method names and ``solve`` the one runner:
+it times a method's solver and re-evaluates the sequence it reports, for
+``bench``, the CLI's ``solve`` and the demo script.
 A benchmark runs a set of methods over a set of instances.  Deterministic
 methods (exact enumeration, branch and bound, the weighted search
 procedure) run once per instance; stochastic methods (vns, gvns) run R
-replications seeded base+0 .. base+R-1.  Every reported sequence is
-re-evaluated before it is written, a row's representative value is its mean
-(equal to the single value for deterministic methods), and the relative
-percentage deviation is taken against the smallest representative value of
-the same instance.  Rows are sorted by (group, n, method) and rendered with
-a fixed header, so reports are byte-stable apart from the measured wall
-times (which ``zero_time`` pins to zero).
+replications seeded base+0 .. base+R-1.  A row's representative value is
+its mean (equal to the single value for deterministic methods), and the
+relative percentage deviation is taken against the smallest
+representative value of the same instance.  Rows are sorted by (group, n,
+method) and rendered with a fixed header, so reports are byte-stable apart
+from the measured wall times (which ``zero_time`` pins to zero).
 
 Per-row failures (missing files, size caps, validation mismatches) are
 collected as error strings and never abort the batch.  Each solver is
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field, fields
 from statistics import mean as _mean
 
-from .core import Instance, evaluate_schedule, load_instance
+from .core import Instance, evaluate_schedule, load_instance, write_text
 from .exact import branch_and_bound, brute_force
 from .generator import generate_suite
 from .metaheuristics import SearchParams, gvns, vns
@@ -193,33 +193,26 @@ def group_of(instance: Instance) -> str:
 
 
 def solve(instance: Instance, method: str, params: SearchParams):
-    """Run one of ``METHODS`` on the instance; ``params`` is used by gvns
-    and vns only.
+    """Run one of ``METHODS`` on the instance, check what it reports and
+    return ``(result, seconds)``; ``params`` is used by gvns and vns only.
 
     The solver is looked up as a module global at call time and called
     positionally, with the instance alone or, for a search, the instance and
-    ``params``.  An exact solver refuses n above its size cap with a
-    ValueError.
+    ``params``; ``seconds`` times that call alone.  The reported sequence is
+    then re-evaluated with ``evaluate_schedule``, and a value that differs
+    from it raises a RuntimeError.  An exact solver refuses n above its size
+    cap with a ValueError.
     """
     solver = globals()[_SOLVERS[method]]
-    return solver(instance, params) if method in _SEARCHES else solver(instance)
-
-
-def _run_cell(instance: Instance, method: str, config: ExperimentConfig):
-    """All replication (value, sequence, seconds) triples for one cell."""
-    runs = []
-    for r in range(config.replications if method in _SEARCHES else 1):
-        params = SearchParams(config.iter_max, config.iter_nip, seed=config.seed + r)
-        t0 = time.perf_counter()
-        res = solve(instance, method, params)
-        runs.append((res.best_value, res.best_sequence, time.perf_counter() - t0))
-    for value, seq, _ in runs:
-        check = evaluate_schedule(instance, seq).total
-        if check != value:
-            raise RuntimeError(
-                f"method {method} reported {value} but the sequence evaluates to {check}"
-            )
-    return runs
+    t0 = time.perf_counter()
+    res = solver(instance, params) if method in _SEARCHES else solver(instance)
+    seconds = time.perf_counter() - t0
+    check = evaluate_schedule(instance, res.best_sequence).total
+    if check != res.best_value:
+        raise RuntimeError(
+            f"method {method} reported {res.best_value} but the sequence evaluates to {check}"
+        )
+    return res, seconds
 
 
 def run_benchmark(config: ExperimentConfig, zero_time: bool = False) -> BenchReport:
@@ -244,16 +237,20 @@ def run_benchmark(config: ExperimentConfig, zero_time: bool = False) -> BenchRep
     for instance in instances:
         cells = {}
         for method in config.methods:
+            reps = config.replications if method in _SEARCHES else 1
             try:
-                cells[method] = _run_cell(instance, method, config)
+                cells[method] = [
+                    solve(instance, method, SearchParams(config.iter_max, config.iter_nip, seed))
+                    for seed in range(config.seed, config.seed + reps)
+                ]
             except (ValueError, RuntimeError) as exc:
                 report.errors.append(f"{instance.name or 'instance'},{method}: {exc}")
         if not cells:
             continue
-        reference = min(_mean([v for v, _, _ in runs]) for runs in cells.values())
+        reference = min(_mean([res.best_value for res, _ in runs]) for runs in cells.values())
         for method, runs in cells.items():
-            values = [v for v, _, _ in runs]
-            times = [t for _, _, t in runs]
+            values = [res.best_value for res, _ in runs]
+            times = [t for _, t in runs]
             row_mean = _mean(values)
             report.rows.append(
                 ReportRow(
@@ -271,8 +268,7 @@ def run_benchmark(config: ExperimentConfig, zero_time: bool = False) -> BenchRep
     report.rows.sort(key=lambda r: (r.group, r.n, r.method))
     report.csv_text = render_csv(report.rows)
     if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.csv_text)
+        write_text(config.output, report.csv_text)
     return report
 
 

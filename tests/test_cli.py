@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from steptardy import build_model, export_lp, load_instance, save_instance
+from steptardy import build_model, export_lp, harness, load_instance, save_instance
 from steptardy.cli import main
 
 from conftest import DATA_DIR, make_instance
@@ -45,7 +46,7 @@ class TestGen:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    @pytest.mark.parametrize("tau", ["inf", "nan", "1e308"])
     def test_non_finite_tau_fails_cleanly(self, capsys, tau):
         code, out, err = run_cli(
             capsys, "gen", "--n", "5", "--h-class", "1", "--d-class", "1", "--tau", tau
@@ -167,6 +168,18 @@ class TestSolve:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: iter_nip must satisfy")
+
+    def test_lying_solver_fails(self, capsys, demo8_path, monkeypatch):
+        """The value ``solve`` prints is checked against its sequence."""
+        real = harness.swsp
+
+        def lying(instance):
+            return replace(real(instance), best_value=0)
+
+        monkeypatch.setattr(harness, "swsp", lying)
+        code, out, err = run_cli(capsys, "solve", "--instance", str(demo8_path), "--method", "swsp")
+        assert (code, out) == (1, "")
+        assert err == "error: method swsp reported 0 but the sequence evaluates to 572\n"
 
     def test_vns_runs(self, capsys, demo8_path):
         code, out, _ = run_cli(

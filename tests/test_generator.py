@@ -23,6 +23,18 @@ class TestGenSpec:
             {"n": 5, "h_class": 4, "d_class": 1},
             {"n": 5, "h_class": 1, "d_class": 3},
             {"n": 5, "h_class": 1, "d_class": 1, "tau": 0.001},
+            # a bool or a non-int would be drawn and named as something else
+            {"n": 3, "h_class": True, "d_class": 1},
+            {"n": True, "h_class": 1, "d_class": 1},
+            {"n": 5, "h_class": 1, "d_class": True},
+            {"n": 5, "h_class": 1, "d_class": 1, "seed": False},
+            {"n": 2.5, "h_class": 1, "d_class": 1},
+            {"n": 5, "h_class": 1.0, "d_class": 1},
+            {"n": 5, "h_class": 1, "d_class": 1, "seed": 1.5},
+            {"n": 5, "h_class": 1, "d_class": 1, "tau": "x"},
+            {"n": 5, "h_class": 1, "d_class": 1, "tau": True},
+            # 100 * tau overflows to inf
+            {"n": 5, "h_class": 1, "d_class": 1, "tau": 1e308},
         ],
     )
     def test_invalid_rejected(self, kwargs):
