@@ -41,12 +41,24 @@
    a job started at s completes at f(s) = s + p(s), with p(s) = a for
    s <= h and a + b after, so f(s') - f(s) >= s' - s when s' > s.  For an
    unchanged stretch k..end-1 of the incumbent entered at completion time c
-   instead of the incumbent's C[k], two consequences follow:
+   instead of the incumbent's C[k], three consequences follow:
    - if c >= C[k], every job in the stretch starts no earlier than in the
      incumbent, so the stretch adds at least TS[end] - TS[k] and ends at or
      after C[end] + (c - C[k]);
+   - if c >= C[k], each job of the stretch that is late in the incumbent
+     (its C >= d) completes at least delta = c - C[k] later, so it adds at
+     least delta more tardiness: with NT the prefix count of those jobs,
+     the stretch adds at least TS[end] - TS[k] + delta * (NT[end] - NT[k]);
    - if c != C[k], the shift keeps its sign and never shrinks, so
      completion times never resynchronise inside the stretch.
+
+   No bound overflows.  Each is a sum of non-negative lower bounds on the
+   parts of one real candidate's total: the running tardiness of its
+   prefix, then what each stretch, moved job and tail adds, where a
+   delta * count term is at most the extra tardiness of the jobs it
+   counts.  So no partial sum exceeds that candidate's total, which
+   Instance._int64_rows keeps below 2^62, as it keeps every completion
+   time.
 
    Built and imported by neighborhoods.py on first import; the Python entry
    points are at the end of this file.  */
@@ -71,12 +83,16 @@ static inline i64 tard(const job_t *J, i64 x, i64 c)
     return late > 0 ? late : 0;
 }
 
-static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS)
+/* The incumbent's prefixes over positions 0..k-1: C[k] its completion
+   time, TS[k] its tardiness and NT[k] the number of its jobs that are late
+   (C >= d).  */
+static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS, i64 *NT)
 {
-    C[0] = TS[0] = 0;
+    C[0] = TS[0] = NT[0] = 0;
     for (i64 k = 0; k < n; k++) {
         C[k + 1] = fin(J, seq[k], C[k]);
         TS[k + 1] = TS[k] + tard(J, seq[k], C[k + 1]);
+        NT[k + 1] = NT[k] + (C[k + 1] >= J[seq[k]].d);
     }
 }
 
@@ -119,17 +135,18 @@ static inline int put(const job_t *J, i64 x, i64 y, i64 *c, i64 *t, i64 total)
    (c, t) with c >= C[lo] and continues with the incumbent's stretch
    lo..hi-1, then the moved jobs x1 and x2 (each when nonzero), then the
    unchanged tail from position k.  By the lemma the stretch adds at least
-   TS[hi] - TS[lo] and ends no earlier than e = C[hi] + (c - C[lo]); each
-   moved job then completes no earlier than if it started at e, and the
-   tail adds at least TS[n] - TS[k] when it is entered no earlier than in
-   the incumbent.  A candidate whose bound reaches total is skipped before
-   its window walk.  The tail term is added with a select, like step's
-   tardiness: whether e reaches C[k] depends on the data.  */
-static inline i64 lower_bound(const job_t *J, const i64 *C, const i64 *TS, i64 lo, i64 hi,
+   TS[hi] - TS[lo], plus the entry delay c - C[lo] for each of its jobs
+   late in the incumbent, and ends no earlier than e = C[hi] + (c - C[lo]);
+   each moved job then completes no earlier than if it started at e, and
+   the tail, when e >= C[k], adds at least TS[n] - TS[k] plus e - C[k] for
+   each of its late jobs.  A candidate whose bound reaches total is skipped
+   before its window walk.  The tail term is added with a select, like
+   step's tardiness: whether e reaches C[k] depends on the data.  */
+static inline i64 lower_bound(const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 lo, i64 hi,
                               i64 x1, i64 x2, i64 k, i64 c, i64 t, i64 n)
 {
     i64 e = C[hi] + (c - C[lo]);
-    t += TS[hi] - TS[lo];
+    t += TS[hi] - TS[lo] + (c - C[lo]) * (NT[hi] - NT[lo]);
     if (x1) {
         e = fin(J, x1, e);
         t += tard(J, x1, e);
@@ -138,20 +155,20 @@ static inline i64 lower_bound(const job_t *J, const i64 *C, const i64 *TS, i64 l
         e = fin(J, x2, e);
         t += tard(J, x2, e);
     }
-    return t + (e >= C[k] ? TS[n] - TS[k] : 0);
+    return t + (e >= C[k] ? TS[n] - TS[k] + (e - C[k]) * (NT[n] - NT[k]) : 0);
 }
 
 /* Finish a candidate over the unchanged positions k..n-1, entered at
    completion time c with tardiness t: its total when it strictly beats
-   total, else -1.  C and TS are the incumbent's completion and tardiness
-   prefixes.
+   total, else -1.  C, TS and NT are the incumbent's prefixes.
    - c == C[k]: every tail job starts exactly as in the incumbent, so the
      tail adds the incumbent's TS[n] - TS[k].
-   - c > C[k]: by the lemma the tail adds at least TS[n] - TS[k]; when
-     that already reaches total, the walk is skipped.
+   - c > C[k]: by the lemma the tail adds at least TS[n] - TS[k], plus
+     c - C[k] for each of its jobs late in the incumbent; when that
+     already reaches total, the walk is skipped.
    Otherwise the tail is walked to its end: by the lemma, a shift that is
    nonzero on entry never returns to zero.  */
-static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS,
+static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT,
                      i64 k, i64 c, i64 t, i64 total, i64 n)
 {
     if (c >= C[k]) {
@@ -159,7 +176,7 @@ static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS
             t += TS[n] - TS[k];
             return t < total ? t : -1;
         }
-        if (t + TS[n] - TS[k] >= total)
+        if (t + TS[n] - TS[k] + (c - C[k]) * (NT[n] - NT[k]) >= total)
             return -1;
     }
     if (walk(seq, J, k, n, &c, &t, total))
@@ -173,17 +190,18 @@ static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS
 
 /* Exchange the blocks at i and j >= i + L: the window is the block at j,
    the stretch i+L..j-1, then the block at i.  */
-static int scan_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n, i64 L)
+static int scan_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 total, i64 n,
+                         i64 L)
 {
     for (i64 i = 0; i + 2 * L <= n; i++) {
         i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
         for (i64 j = i + L; j + L <= n; j++) {
             i64 c = C[i], t = TS[i];
             if (put(J, seq[j], L == 2 ? seq[j + 1] : 0, &c, &t, total)
-                || (c >= C[i + L] && lower_bound(J, C, TS, i + L, j, blk[0], blk[1], j + L, c, t, n) >= total)
+                || (c >= C[i + L] && lower_bound(J, C, TS, NT, i + L, j, blk[0], blk[1], j + L, c, t, n) >= total)
                 || walk(seq, J, i + L, j, &c, &t, total) || put(J, blk[0], blk[1], &c, &t, total))
                 continue;
-            if (tail_eval(seq, J, C, TS, j + L, c, t, total, n) >= 0) {
+            if (tail_eval(seq, J, C, TS, NT, j + L, c, t, total, n) >= 0) {
                 memcpy(seq + i, seq + j, (size_t)L * sizeof *seq);
                 memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
@@ -194,7 +212,7 @@ static int scan_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, 
 }
 
 /* Move the block at i so that it starts at j != i.  */
-static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n, i64 L)
+static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 total, i64 n, i64 L)
 {
     for (i64 i = 0; i + L <= n; i++) {
         i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
@@ -203,10 +221,10 @@ static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64
         for (i64 j = 0; j < i; j++) {
             i64 c = C[j], t = TS[j];
             if (put(J, blk[0], blk[1], &c, &t, total)
-                || lower_bound(J, C, TS, j, i, 0, 0, i + L, c, t, n) >= total
+                || lower_bound(J, C, TS, NT, j, i, 0, 0, i + L, c, t, n) >= total
                 || walk(seq, J, j, i, &c, &t, total))
                 continue;
-            if (tail_eval(seq, J, C, TS, i + L, c, t, total, n) >= 0) {
+            if (tail_eval(seq, J, C, TS, NT, i + L, c, t, total, n) >= 0) {
                 memmove(seq + j + L, seq + j, (size_t)(i - j) * sizeof *seq);
                 memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
@@ -223,7 +241,7 @@ static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64
             i64 c = c_run, t = t_run;
             if (put(J, blk[0], blk[1], &c, &t, total))
                 continue;
-            if (tail_eval(seq, J, C, TS, j + L, c, t, total, n) >= 0) {
+            if (tail_eval(seq, J, C, TS, NT, j + L, c, t, total, n) >= 0) {
                 memmove(seq + i, seq + i + L, (size_t)(j - i) * sizeof *seq);
                 memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
@@ -242,8 +260,10 @@ static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64
    contains the current window, entered later, so once TS[i+1] + w or a
    walk's running tardiness reaches total, the row ends.  A candidate whose
    window provably ends at or after C[j+1] is skipped when the tail's
-   incumbent tardiness already takes it to total.  */
-static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i64 total, i64 n, i64 L)
+   incumbent tardiness, plus e - C[j+1] for each of its late jobs, already
+   takes it to total.  */
+static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 total, i64 n,
+                        i64 L)
 {
     (void)L;
     for (i64 i = 0; i < n - 3; i++) {
@@ -254,7 +274,8 @@ static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i
             e += c0 - C[i + 1];
             if (TS[i + 1] + w >= total)
                 break;
-            if (j < i + 3 || (e >= C[j + 1] && TS[i + 1] + w + TS[n] - TS[j + 1] >= total))
+            if (j < i + 3 || (e >= C[j + 1]
+                              && TS[i + 1] + w + TS[n] - TS[j + 1] + (e - C[j + 1]) * (NT[n] - NT[j + 1]) >= total))
                 continue;
             i64 c = C[i + 1], t = TS[i + 1], k;
             for (k = j; k > i; k--)
@@ -264,7 +285,7 @@ static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i
                 break;
             e = c;
             w = t - TS[i + 1];
-            if (tail_eval(seq, J, C, TS, j + 1, c, t, total, n) >= 0) {
+            if (tail_eval(seq, J, C, TS, NT, j + 1, c, t, total, n) >= 0) {
                 for (i64 lo = i + 1, hi = j; lo < hi; lo++, hi--) {
                     i64 x = seq[lo];
                     seq[lo] = seq[hi];
@@ -280,7 +301,7 @@ static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, i
 /* Neighbourhood k's scan and block length: swap, insertion, pairwise
    exchange, couple insertion, two-opt.  */
 static const struct {
-    int (*scan)(i64 *, const job_t *, const i64 *, const i64 *, i64, i64, i64);
+    int (*scan)(i64 *, const job_t *, const i64 *, const i64 *, const i64 *, i64, i64, i64);
     i64 L;
 } SCANS[] = {
     {NULL, 0}, {scan_exchange, 1}, {scan_shift, 1}, {scan_exchange, 2}, {scan_shift, 2}, {scan_two_opt, 0},
@@ -288,8 +309,8 @@ static const struct {
 
 /* Descend seq in place through the neighbourhoods order[0..m-1] (each in
    1..5) in turn, each to its local optimum, and store the final total
-   tardiness in *total.  The prefixes are recomputed after each accepted
-   move only: a neighbourhood ends with a scan that moved nothing, so they
+   tardiness in *total.  The prefixes C, TS and NT share one allocation
+   and are recomputed after each accepted move only: a neighbourhood ends with a scan that moved nothing, so they
    still describe seq when the next one starts.  Every accepted move must
    lower the total, which also bounds the number of moves; a scan defect
    that breaks this raises RuntimeError instead of looping for ever.
@@ -304,26 +325,26 @@ static const struct {
 static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, i64 m,
                              const i64 *incumbent, i64 *proven, i64 *total)
 {
-    i64 *C = PyMem_Malloc((size_t)(n + 1) * 2 * sizeof *C);
+    i64 *C = PyMem_Malloc((size_t)(n + 1) * 3 * sizeof *C);
     if (C == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    i64 *TS = C + n + 1;
-    prefix_state(seq, J, n, C, TS);
+    i64 *TS = C + n + 1, *NT = TS + n + 1;
+    prefix_state(seq, J, n, C, TS, NT);
     for (i64 r = 0; r < m; r++) {
         i64 bit = (i64)1 << (order[r] - 1);
         for (;;) {
             int at = incumbent != NULL && memcmp(seq, incumbent, (size_t)n * sizeof *seq) == 0;
             if (at && (*proven & bit))
                 break;
-            if (!SCANS[order[r]].scan(seq, J, C, TS, TS[n], n, SCANS[order[r]].L)) {
+            if (!SCANS[order[r]].scan(seq, J, C, TS, NT, TS[n], n, SCANS[order[r]].L)) {
                 if (at)
                     *proven |= bit;
                 break;
             }
             i64 before = TS[n];
-            prefix_state(seq, J, n, C, TS);
+            prefix_state(seq, J, n, C, TS, NT);
             if (TS[n] >= before) {
                 PyMem_Free(C);
                 PyErr_Format(PyExc_RuntimeError,

@@ -43,7 +43,7 @@ _SEARCHES = ("gvns", "vns")
 METHODS = tuple(_SOLVERS)
 CSV_HEADER = "group,n,method,best,mean,rpd_pct,mad_pct,time_s"
 
-_GROUP_RE = re.compile(r"^(S_\d\d)_n\d+_s\d+$")
+_GROUP_RE = re.compile(r"^(S_\d\d)_n\d+_s-?\d+$")
 
 # the type of each ExperimentConfig field, or of its items when its default
 # is a tuple

@@ -34,6 +34,16 @@ def make_instance(rows, name="", seed=None):
     return Instance(jobs=jobs, name=name, seed=seed)
 
 
+def near_bound_instance(rng: random.Random, n: int, big: int):
+    """n random jobs with a and b up to big and d and h up to 4 * big.  The
+    tests pick n and big so that n * span is about 2^60, inside the int64
+    bound of Instance._int64_rows (2^62) but near it."""
+    return make_instance(
+        [(rng.randint(1, big), rng.randint(0, big), rng.randint(0, 4 * big), rng.randint(0, 4 * big))
+         for _ in range(n)]
+    )
+
+
 def random_instance(rng: random.Random, n: int, max_a=30, max_b=15, max_d=150, max_h=80):
     return make_instance(
         [

@@ -131,6 +131,8 @@ class TestExperimentConfig:
 def test_group_of_names():
     generated = generate_instance(GenSpec(n=8, h_class=1, d_class=2, seed=4))
     assert group_of(generated) == "S_12"
+    # GenSpec accepts a negative seed, which the name spells with its sign
+    assert group_of(generate_instance(GenSpec(n=5, h_class=1, d_class=1, seed=-1))) == "S_11"
     assert group_of(make_instance([(1, 0, 0, 0)], name="demo8")) == "demo8"
     assert group_of(make_instance([(1, 0, 0, 0)])) == "n1"
 

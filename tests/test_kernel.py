@@ -47,7 +47,7 @@ from steptardy.swsp import (
     weighted_search,
 )
 
-from conftest import instances_with_sequence, make_instance, tied_cases
+from conftest import instances_with_sequence, make_instance, near_bound_instance, tied_cases
 
 needs_kernel = pytest.mark.skipif(
     neighborhoods._kernel is None, reason=f"C kernel not loaded: {neighborhoods._KERNEL_ERROR}"
@@ -200,16 +200,14 @@ def test_parity_with_ties(case, k):
 @needs_kernel
 def test_parity_near_the_int64_bound():
     rng = random.Random(7)
-    big = 2**54
-    instance = make_instance(
-        [(rng.randint(1, big), rng.randint(0, big), rng.randint(0, 4 * big), rng.randint(0, 4 * big))
-         for _ in range(6)]
-    )
-    assert instance._int64_rows is not None
-    for k in NEIGHBORHOOD_IDS:
-        seq = [6, 5, 4, 3, 2, 1]
-        python, kernel = _both(instance, seq, k)
-        assert kernel == python
+    # at n=12 with values up to 2^52, the entry delay charged to the late
+    # jobs of a stretch reaches about 2^57
+    for n, big in [(6, 2**54), (12, 2**52)]:
+        instance = near_bound_instance(rng, n, big)
+        assert instance._int64_rows is not None
+        for k in NEIGHBORHOOD_IDS:
+            python, kernel = _both(instance, list(range(n, 0, -1)), k)
+            assert kernel == python, (n, k)
 
 
 @needs_kernel
@@ -385,7 +383,7 @@ def _mutant_kernel(tmp_path, old, new):
 FAILURES = {
     MemoryError: [
         # the prefix arrays cannot be allocated
-        (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 2 * sizeof *C);", "i64 *C = NULL;"),
+        (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 3 * sizeof *C);", "i64 *C = NULL;"),
          "descend(rows, seq, [2, 4], None, 0)", ""),
         # the greedy's arrays cannot be allocated
         (("i64 *seq = PyMem_Malloc((size_t)(n + 3 * r + 4 * (n + 1) + 2 * nw) * sizeof *seq);",
@@ -449,13 +447,14 @@ from steptardy import neighborhoods as m, generate_suite, NEIGHBORHOOD_IDS, tota
 from steptardy.exact import branch_and_bound, _branch_and_bound_python
 from steptardy.swsp import (_pairwise_swap_pass_python, _weighted_search_python,
                             pairwise_swap_pass, weighted_search)
-from conftest import make_instance
+from conftest import near_bound_instance
 m._kernel = m._import_kernel(LIBRARY)
 rng = random.Random(0)
-big = 2**54
-near = make_instance([(rng.randint(1, big), rng.randint(0, big), rng.randint(0, 4 * big),
-                       rng.randint(0, 4 * big)) for _ in range(6)])
-instances = generate_suite([1, 2, 5, 8, 10, 25], 0)[::2] + [near] + generate_suite([14], 0)[:1]
+near = near_bound_instance(rng, 6, 2**54)
+# the entry delay charged to the late jobs of a stretch reaches about 2^57
+# here; its own seed keeps the earlier cases' draws
+near12 = near_bound_instance(random.Random(12), 12, 2**52)
+instances = generate_suite([1, 2, 5, 8, 10, 25], 0)[::2] + [near] + generate_suite([14], 0)[:1] + [near12]
 for instance in instances:
     n, rows = instance.n, instance._int64_rows
     seq = rng.sample(range(1, n + 1), n)
@@ -641,12 +640,7 @@ def test_weighted_search_parity_at_the_bitset_word_boundary(n):
 
 @needs_kernel
 def test_swsp_parity_near_the_int64_bound():
-    rng = random.Random(11)
-    big = 2**54
-    instance = make_instance(
-        [(rng.randint(1, big), rng.randint(0, big), rng.randint(0, 4 * big), rng.randint(0, 4 * big))
-         for _ in range(6)]
-    )
+    instance = near_bound_instance(random.Random(11), 6, 2**54)
     assert instance._int64_rows is not None
     python, kernel = _swsp_both(instance, [6, 5, 4, 3, 2, 1])
     assert kernel == python
