@@ -15,9 +15,9 @@
      2 adjacent jobs: scan_exchange (swap, pairwise exchange) and scan_shift
      (insertion, couple insertion); two-opt has scan_two_opt.  The scans
      visit the same moves in the same order but skip candidates that
-     provably cannot beat the incumbent (see lower_bound, tail_eval,
-     scan_shift and scan_two_opt), so they accept the same first improving
-     move and return the same sequence.
+     provably cannot beat the incumbent (see stretch, lower_bound,
+     tail_eval, scan_shift and scan_two_opt), so they accept the same first
+     improving move and return the same sequence.
    - SWSP: swsp.py's weighted_search and pairwise_swap_pass.  The swap pass
      is a line-for-line port.  The weighted search builds the same greedy
      sequences as greedy_construct, which stays the reference, but finds
@@ -41,7 +41,7 @@
    a job started at s completes at f(s) = s + p(s), with p(s) = a for
    s <= h and a + b after, so f(s') - f(s) >= s' - s when s' > s.  For an
    unchanged stretch k..end-1 of the incumbent entered at completion time c
-   instead of the incumbent's C[k], three consequences follow:
+   instead of the incumbent's C[k], these consequences follow:
    - if c >= C[k], every job in the stretch starts no earlier than in the
      incumbent, so the stretch adds at least TS[end] - TS[k] and ends at or
      after C[end] + (c - C[k]);
@@ -49,8 +49,19 @@
      (its C >= d) completes at least delta = c - C[k] later, so it adds at
      least delta more tardiness: with NT the prefix count of those jobs,
      the stretch adds at least TS[end] - TS[k] + delta * (NT[end] - NT[k]);
+   - if c < C[k], every job starts no later than in the incumbent, and
+     the earliness E = C[k] - c grows only where a job that starts after
+     its h in the incumbent now starts by h and sheds its b, which needs
+     the earliness to reach that job's U = (its start) - h.  So while E is
+     below every U of the stretch the shift stays exactly E; otherwise it
+     is at most D = E + (the sum of those jobs' b).  Each job late in the
+     incumbent loses at most that much tardiness, and the stretch ends no
+     earlier than C[end] less that much;
    - if c != C[k], the shift keeps its sign and never shrinks, so
      completion times never resynchronise inside the stretch.
+   A stretch's tardiness and its end never decrease with its entry time,
+   so each bound holds for every entry no earlier than the c it is taken
+   at (see stretch).
 
    No bound overflows.  Each is a sum of non-negative lower bounds on the
    parts of one real candidate's total: the running tardiness of its
@@ -58,7 +69,14 @@
    delta * count term is at most the extra tardiness of the jobs it
    counts.  So no partial sum exceeds that candidate's total, which
    Instance._int64_rows keeps below 2^62, as it keeps every completion
-   time.
+   time.  The early term D * count is computed before its part is
+   clamped at 0, so it is bounded apart.  With c >= 0, D <= C[k] + (the
+   sum of b over the stretch), where C[k] sums the processing times of
+   the jobs before the stretch, each at most its ab; so D is at most the
+   sum of ab over all jobs, and with count <= n, D * count <= n * (the sum
+   of ab), which _int64_rows keeps below 2^62.  TS[end] - TS[k] >= 0, so
+   TS[end] - TS[k] - D * count is above -2^62.  (A test instance near the
+   bound takes D * count to about 2^61.6.)
 
    Built and imported by neighborhoods.py on first import; the Python entry
    points are at the end of this file.  */
@@ -83,16 +101,34 @@ static inline i64 tard(const job_t *J, i64 x, i64 c)
     return late > 0 ? late : 0;
 }
 
-/* The incumbent's prefixes over positions 0..k-1: C[k] its completion
-   time, TS[k] its tardiness and NT[k] the number of its jobs that are late
-   (C >= d).  */
-static void prefix_state(const i64 *seq, const job_t *J, i64 n, i64 *C, i64 *TS, i64 *NT)
+/* The earliness at which job x, started at s after its h, would start by
+   h and shed its b (its U); INT64_MAX when s <= h.  */
+static inline i64 shed_at(const job_t *J, i64 x, i64 s)
 {
-    C[0] = TS[0] = NT[0] = 0;
+    return s > J[x].h ? s - J[x].h : INT64_MAX;
+}
+
+/* The incumbent's prefixes over positions 0..k-1: C[k] its completion
+   time, TS[k] its tardiness, NT[k] the number of its jobs that are late
+   (C >= d) and DB[k] the sum of b over its jobs that start after their h;
+   and SU[k], the least U over positions k..n-1.  */
+typedef struct { i64 *C, *TS, *NT, *DB, *SU; } prefix_t;
+
+static void prefix_state(const i64 *seq, const job_t *J, i64 n, const prefix_t *P)
+{
+    i64 *C = P->C, *TS = P->TS, *NT = P->NT, *DB = P->DB, *SU = P->SU;
+    C[0] = TS[0] = NT[0] = DB[0] = 0;
     for (i64 k = 0; k < n; k++) {
+        const job_t *x = &J[seq[k]];
         C[k + 1] = fin(J, seq[k], C[k]);
         TS[k + 1] = TS[k] + tard(J, seq[k], C[k + 1]);
-        NT[k + 1] = NT[k] + (C[k + 1] >= J[seq[k]].d);
+        NT[k + 1] = NT[k] + (C[k + 1] >= x->d);
+        DB[k + 1] = DB[k] + (C[k] > x->h ? x->ab - x->a : 0);
+    }
+    SU[n] = INT64_MAX;
+    for (i64 k = n - 1; k >= 0; k--) {
+        i64 u = shed_at(J, seq[k], C[k]);
+        SU[k] = u < SU[k + 1] ? u : SU[k + 1];
     }
 }
 
@@ -131,54 +167,71 @@ static inline int put(const job_t *J, i64 x, i64 y, i64 *c, i64 *t, i64 total)
     return step(J, x, c, t, total) || (y && step(J, y, c, t, total));
 }
 
-/* A lower bound, in O(1), on the total of a candidate that has reached
-   (c, t) with c >= C[lo] and continues with the incumbent's stretch
-   lo..hi-1, then the moved jobs x1 and x2 (each when nonzero), then the
-   unchanged tail from position k.  By the lemma the stretch adds at least
-   TS[hi] - TS[lo], plus the entry delay c - C[lo] for each of its jobs
-   late in the incumbent, and ends no earlier than e = C[hi] + (c - C[lo]);
-   each moved job then completes no earlier than if it started at e, and
-   the tail, when e >= C[k], adds at least TS[n] - TS[k] plus e - C[k] for
-   each of its late jobs.  A candidate whose bound reaches total is skipped
-   before its window walk.  The tail term is added with a select, like
-   step's tardiness: whether e reaches C[k] depends on the data.  */
-static inline i64 lower_bound(const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 lo, i64 hi,
-                              i64 x1, i64 x2, i64 k, i64 c, i64 t, i64 n)
+/* A lower bound, in O(1), on what the incumbent's stretch lo..hi-1 adds
+   to a candidate's tardiness when it is entered at a completion time no
+   earlier than e, on either side of C[lo]; and, in *end unless end is
+   NULL, a lower bound on the completion time it ends at.  u is at most
+   the least U over the stretch (INT64_MAX when none of its jobs starts
+   after its h).  Entered g = e - C[lo] late (g >= 0) or -g early, each
+   job of the stretch completes at least g later than in the incumbent:
+   by the lemma when g >= 0, and when g < 0 because the earliness stays
+   -g while it is below u.  Once -g reaches u (u >= 1, so only when
+   g < 0), g also takes off DB[hi] - DB[lo], the b that the stretch's jobs
+   may shed.  Each job late in the incumbent then changes its tardiness by
+   at least g, so the stretch adds at least TS[hi] - TS[lo] + g * (NT[hi]
+   - NT[lo]), clamped at 0, and ends no earlier than C[hi] + g.  */
+static inline i64 stretch(const prefix_t *P, i64 lo, i64 hi, i64 u, i64 e, i64 *end)
 {
-    i64 e = C[hi] + (c - C[lo]);
-    t += TS[hi] - TS[lo] + (c - C[lo]) * (NT[hi] - NT[lo]);
+    i64 g = e - P->C[lo];
+    if (P->C[lo] - e >= u)
+        g -= P->DB[hi] - P->DB[lo];
+    if (end)
+        *end = P->C[hi] + g;
+    i64 t = P->TS[hi] - P->TS[lo] + g * (P->NT[hi] - P->NT[lo]);
+    return t > 0 ? t : 0;
+}
+
+/* A lower bound, in O(1), on the total of a candidate that has reached
+   (c, t) and continues with the incumbent's stretch lo..hi-1 (u as for
+   stretch), then the moved jobs x1 and x2 (each when nonzero), then the
+   unchanged tail from position k.  The stretch is bounded by stretch,
+   which also gives a lower bound on its end; each moved job then
+   completes no earlier than if it started there, and the tail is bounded
+   by stretch again, entered no earlier than the last moved job's end.  A
+   candidate whose bound reaches total is skipped before its window
+   walk.  */
+static inline i64 lower_bound(const job_t *J, const prefix_t *P, i64 lo, i64 hi, i64 u, i64 x1, i64 x2, i64 k,
+                              i64 c, i64 t, i64 n)
+{
+    t += stretch(P, lo, hi, u, c, &c);
     if (x1) {
-        e = fin(J, x1, e);
-        t += tard(J, x1, e);
+        c = fin(J, x1, c);
+        t += tard(J, x1, c);
     }
     if (x2) {
-        e = fin(J, x2, e);
-        t += tard(J, x2, e);
+        c = fin(J, x2, c);
+        t += tard(J, x2, c);
     }
-    return t + (e >= C[k] ? TS[n] - TS[k] + (e - C[k]) * (NT[n] - NT[k]) : 0);
+    return t + stretch(P, k, n, P->SU[k], c, NULL);
 }
 
 /* Finish a candidate over the unchanged positions k..n-1, entered at
    completion time c with tardiness t: its total when it strictly beats
-   total, else -1.  C, TS and NT are the incumbent's prefixes.
+   total, else -1.  P holds the incumbent's prefixes.
    - c == C[k]: every tail job starts exactly as in the incumbent, so the
      tail adds the incumbent's TS[n] - TS[k].
-   - c > C[k]: by the lemma the tail adds at least TS[n] - TS[k], plus
-     c - C[k] for each of its jobs late in the incumbent; when that
-     already reaches total, the walk is skipped.
+   - otherwise, when t plus stretch's bound on the tail, entered late or
+     early, already reaches total, the walk is skipped.
    Otherwise the tail is walked to its end: by the lemma, a shift that is
    nonzero on entry never returns to zero.  */
-static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT,
-                     i64 k, i64 c, i64 t, i64 total, i64 n)
+static i64 tail_eval(const i64 *seq, const job_t *J, const prefix_t *P, i64 k, i64 c, i64 t, i64 total, i64 n)
 {
-    if (c >= C[k]) {
-        if (c == C[k]) {
-            t += TS[n] - TS[k];
-            return t < total ? t : -1;
-        }
-        if (t + TS[n] - TS[k] + (c - C[k]) * (NT[n] - NT[k]) >= total)
-            return -1;
+    if (c == P->C[k]) {
+        t += P->TS[n] - P->TS[k];
+        return t < total ? t : -1;
     }
+    if (t + stretch(P, k, n, P->SU[k], c, NULL) >= total)
+        return -1;
     if (walk(seq, J, k, n, &c, &t, total))
         return -1;
     return t < total ? t : -1;
@@ -189,19 +242,24 @@ static i64 tail_eval(const i64 *seq, const job_t *J, const i64 *C, const i64 *TS
    first job and its second, or 0 when L = 1.  */
 
 /* Exchange the blocks at i and j >= i + L: the window is the block at j,
-   the stretch i+L..j-1, then the block at i.  */
-static int scan_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 total, i64 n,
-                         i64 L)
+   the stretch i+L..j-1, then the block at i.  u is the least U over that
+   stretch, kept as it grows by one job per j.  */
+static int scan_exchange(i64 *seq, const job_t *J, const prefix_t *P, i64 total, i64 n, i64 L)
 {
+    const i64 *C = P->C, *TS = P->TS;
     for (i64 i = 0; i + 2 * L <= n; i++) {
-        i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
+        i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0}, u = INT64_MAX;
         for (i64 j = i + L; j + L <= n; j++) {
+            if (j > i + L) {
+                i64 uj = shed_at(J, seq[j - 1], C[j - 1]);
+                u = uj < u ? uj : u;
+            }
             i64 c = C[i], t = TS[i];
             if (put(J, seq[j], L == 2 ? seq[j + 1] : 0, &c, &t, total)
-                || (c >= C[i + L] && lower_bound(J, C, TS, NT, i + L, j, blk[0], blk[1], j + L, c, t, n) >= total)
+                || lower_bound(J, P, i + L, j, u, blk[0], blk[1], j + L, c, t, n) >= total
                 || walk(seq, J, i + L, j, &c, &t, total) || put(J, blk[0], blk[1], &c, &t, total))
                 continue;
-            if (tail_eval(seq, J, C, TS, NT, j + L, c, t, total, n) >= 0) {
+            if (tail_eval(seq, J, P, j + L, c, t, total, n) >= 0) {
                 memcpy(seq + i, seq + j, (size_t)L * sizeof *seq);
                 memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
@@ -211,20 +269,26 @@ static int scan_exchange(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, 
     return 0;
 }
 
-/* Move the block at i so that it starts at j != i.  */
-static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 total, i64 n, i64 L)
+/* Move the block at i so that it starts at j != i.  In both rows the
+   tardiness after the block is put does not decrease as j grows: before
+   i the block is put at (C[j], TS[j]), and after i at the end of a
+   running window that only grows, and a later start never completes
+   earlier.  So once the put alone reaches total, the row ends.  */
+static int scan_shift(i64 *seq, const job_t *J, const prefix_t *P, i64 total, i64 n, i64 L)
 {
+    const i64 *C = P->C, *TS = P->TS;
     for (i64 i = 0; i + L <= n; i++) {
         i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
-        /* Targets before i: the block enters first, so the window starts
-           after C[j] (a >= 1) and lower_bound needs no guard.  */
+        /* Targets before i: the block, then the stretch j..i-1, whose
+           least U is at least SU[j].  */
         for (i64 j = 0; j < i; j++) {
             i64 c = C[j], t = TS[j];
-            if (put(J, blk[0], blk[1], &c, &t, total)
-                || lower_bound(J, C, TS, NT, j, i, 0, 0, i + L, c, t, n) >= total
+            if (put(J, blk[0], blk[1], &c, &t, total))
+                break;
+            if (lower_bound(J, P, j, i, P->SU[j], 0, 0, i + L, c, t, n) >= total
                 || walk(seq, J, j, i, &c, &t, total))
                 continue;
-            if (tail_eval(seq, J, C, TS, NT, i + L, c, t, total, n) >= 0) {
+            if (tail_eval(seq, J, P, i + L, c, t, total, n) >= 0) {
                 memmove(seq + j + L, seq + j, (size_t)(i - j) * sizeof *seq);
                 memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
@@ -240,8 +304,8 @@ static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, con
                 break;
             i64 c = c_run, t = t_run;
             if (put(J, blk[0], blk[1], &c, &t, total))
-                continue;
-            if (tail_eval(seq, J, C, TS, NT, j + L, c, t, total, n) >= 0) {
+                break;
+            if (tail_eval(seq, J, P, j + L, c, t, total, n) >= 0) {
                 memmove(seq + i, seq + i + L, (size_t)(j - i) * sizeof *seq);
                 memcpy(seq + j, blk, (size_t)L * sizeof *seq);
                 return 1;
@@ -258,14 +322,13 @@ static int scan_shift(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, con
    the tardiness of the current window entered at C[i+1], chained from one
    j to the next, and exact after a full window walk.  Every later j
    contains the current window, entered later, so once TS[i+1] + w or a
-   walk's running tardiness reaches total, the row ends.  A candidate whose
-   window provably ends at or after C[j+1] is skipped when the tail's
-   incumbent tardiness, plus e - C[j+1] for each of its late jobs, already
-   takes it to total.  */
-static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, const i64 *NT, i64 total, i64 n,
-                        i64 L)
+   walk's running tardiness reaches total, the row ends.  A candidate is
+   skipped when stretch's bound on the tail, entered no earlier than e,
+   already takes it to total.  */
+static int scan_two_opt(i64 *seq, const job_t *J, const prefix_t *P, i64 total, i64 n, i64 L)
 {
     (void)L;
+    const i64 *C = P->C, *TS = P->TS;
     for (i64 i = 0; i < n - 3; i++) {
         i64 e = C[i + 2], w = TS[i + 2] - TS[i + 1];
         for (i64 j = i + 2; j < n; j++) {
@@ -274,8 +337,7 @@ static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, c
             e += c0 - C[i + 1];
             if (TS[i + 1] + w >= total)
                 break;
-            if (j < i + 3 || (e >= C[j + 1]
-                              && TS[i + 1] + w + TS[n] - TS[j + 1] + (e - C[j + 1]) * (NT[n] - NT[j + 1]) >= total))
+            if (j < i + 3 || TS[i + 1] + w + stretch(P, j + 1, n, P->SU[j + 1], e, NULL) >= total)
                 continue;
             i64 c = C[i + 1], t = TS[i + 1], k;
             for (k = j; k > i; k--)
@@ -285,7 +347,7 @@ static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, c
                 break;
             e = c;
             w = t - TS[i + 1];
-            if (tail_eval(seq, J, C, TS, NT, j + 1, c, t, total, n) >= 0) {
+            if (tail_eval(seq, J, P, j + 1, c, t, total, n) >= 0) {
                 for (i64 lo = i + 1, hi = j; lo < hi; lo++, hi--) {
                     i64 x = seq[lo];
                     seq[lo] = seq[hi];
@@ -301,7 +363,7 @@ static int scan_two_opt(i64 *seq, const job_t *J, const i64 *C, const i64 *TS, c
 /* Neighbourhood k's scan and block length: swap, insertion, pairwise
    exchange, couple insertion, two-opt.  */
 static const struct {
-    int (*scan)(i64 *, const job_t *, const i64 *, const i64 *, const i64 *, i64, i64, i64);
+    int (*scan)(i64 *, const job_t *, const prefix_t *, i64, i64, i64);
     i64 L;
 } SCANS[] = {
     {NULL, 0}, {scan_exchange, 1}, {scan_shift, 1}, {scan_exchange, 2}, {scan_shift, 2}, {scan_two_opt, 0},
@@ -309,9 +371,10 @@ static const struct {
 
 /* Descend seq in place through the neighbourhoods order[0..m-1] (each in
    1..5) in turn, each to its local optimum, and store the final total
-   tardiness in *total.  The prefixes C, TS and NT share one allocation
-   and are recomputed after each accepted move only: a neighbourhood ends with a scan that moved nothing, so they
-   still describe seq when the next one starts.  Every accepted move must
+   tardiness in *total.  The five prefix arrays share one allocation and
+   are recomputed after each accepted move only: a neighbourhood ends with
+   a scan that moved nothing, so they still describe seq when the next one
+   starts.  Every accepted move must
    lower the total, which also bounds the number of moves; a scan defect
    that breaks this raises RuntimeError instead of looping for ever.
    Returns 0, or -1 with an exception set.
@@ -325,26 +388,27 @@ static const struct {
 static int steptardy_descend(const job_t *J, i64 n, i64 *seq, const i64 *order, i64 m,
                              const i64 *incumbent, i64 *proven, i64 *total)
 {
-    i64 *C = PyMem_Malloc((size_t)(n + 1) * 3 * sizeof *C);
+    i64 *C = PyMem_Malloc((size_t)(n + 1) * 5 * sizeof *C);
     if (C == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    i64 *TS = C + n + 1, *NT = TS + n + 1;
-    prefix_state(seq, J, n, C, TS, NT);
+    prefix_t P = {C, C + (n + 1), C + 2 * (n + 1), C + 3 * (n + 1), C + 4 * (n + 1)};
+    const i64 *TS = P.TS;
+    prefix_state(seq, J, n, &P);
     for (i64 r = 0; r < m; r++) {
         i64 bit = (i64)1 << (order[r] - 1);
         for (;;) {
             int at = incumbent != NULL && memcmp(seq, incumbent, (size_t)n * sizeof *seq) == 0;
             if (at && (*proven & bit))
                 break;
-            if (!SCANS[order[r]].scan(seq, J, C, TS, NT, TS[n], n, SCANS[order[r]].L)) {
+            if (!SCANS[order[r]].scan(seq, J, &P, TS[n], n, SCANS[order[r]].L)) {
                 if (at)
                     *proven |= bit;
                 break;
             }
             i64 before = TS[n];
-            prefix_state(seq, J, n, C, TS, NT);
+            prefix_state(seq, J, n, &P);
             if (TS[n] >= before) {
                 PyMem_Free(C);
                 PyErr_Format(PyExc_RuntimeError,

@@ -44,6 +44,18 @@ def near_bound_instance(rng: random.Random, n: int, big: int):
     )
 
 
+def early_entry_instance():
+    """12 jobs where a descent from 1..12 enters stretches early by up to
+    about 2^55 and the kernel's early-side term D * count reaches about
+    2^61.6, with n * span about 2^61.9: job 1 is long, jobs 2..11 each
+    start just after their h in 1..12, so an entry one earlier sheds every
+    b = 2^55 after it, and every job is late (d = 0)."""
+    a, b = 2**10, 2**55
+    return make_instance(
+        [(a, 0, 0, 0)] + [(1, b, 0, a + q * (1 + b) - 1) for q in range(10)] + [(1, 0, 0, 0)]
+    )
+
+
 def random_instance(rng: random.Random, n: int, max_a=30, max_b=15, max_d=150, max_h=80):
     return make_instance(
         [

@@ -47,7 +47,13 @@ from steptardy.swsp import (
     weighted_search,
 )
 
-from conftest import instances_with_sequence, make_instance, near_bound_instance, tied_cases
+from conftest import (
+    early_entry_instance,
+    instances_with_sequence,
+    make_instance,
+    near_bound_instance,
+    tied_cases,
+)
 
 needs_kernel = pytest.mark.skipif(
     neighborhoods._kernel is None, reason=f"C kernel not loaded: {neighborhoods._KERNEL_ERROR}"
@@ -208,6 +214,13 @@ def test_parity_near_the_int64_bound():
         for k in NEIGHBORHOOD_IDS:
             python, kernel = _both(instance, list(range(n, 0, -1)), k)
             assert kernel == python, (n, k)
+    # stretches entered early, where the early-side term D * count reaches
+    # about 2^61.6
+    instance = early_entry_instance()
+    assert instance._int64_rows is not None
+    for k in NEIGHBORHOOD_IDS:
+        python, kernel = _both(instance, list(range(1, 13)), k)
+        assert kernel == python, k
 
 
 @needs_kernel
@@ -383,7 +396,7 @@ def _mutant_kernel(tmp_path, old, new):
 FAILURES = {
     MemoryError: [
         # the prefix arrays cannot be allocated
-        (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 3 * sizeof *C);", "i64 *C = NULL;"),
+        (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 5 * sizeof *C);", "i64 *C = NULL;"),
          "descend(rows, seq, [2, 4], None, 0)", ""),
         # the greedy's arrays cannot be allocated
         (("i64 *seq = PyMem_Malloc((size_t)(n + 3 * r + 4 * (n + 1) + 2 * nw) * sizeof *seq);",
@@ -447,7 +460,7 @@ from steptardy import neighborhoods as m, generate_suite, NEIGHBORHOOD_IDS, tota
 from steptardy.exact import branch_and_bound, _branch_and_bound_python
 from steptardy.swsp import (_pairwise_swap_pass_python, _weighted_search_python,
                             pairwise_swap_pass, weighted_search)
-from conftest import near_bound_instance
+from conftest import early_entry_instance, near_bound_instance
 m._kernel = m._import_kernel(LIBRARY)
 rng = random.Random(0)
 near = near_bound_instance(rng, 6, 2**54)
@@ -477,6 +490,11 @@ for instance in instances:
     assert pairwise_swap_pass(instance, seq) == _pairwise_swap_pass_python(instance, seq)
     if n <= 14:
         assert branch_and_bound(instance) == _branch_and_bound_python(instance)
+# an early entry makes the early-side term D * count about 2^61.6 here
+early = early_entry_instance()
+for k in NEIGHBORHOOD_IDS:
+    found = m._kernel.descend(early._int64_rows, list(range(1, 13)), [k], None, 0)[0]
+    assert found == m._descend_python(early, list(range(1, 13)), k)
 print("ok", len(instances))
 """
 
