@@ -101,17 +101,12 @@ static inline i64 tard(const job_t *J, i64 x, i64 c)
     return late > 0 ? late : 0;
 }
 
-/* The earliness at which job x, started at s after its h, would start by
-   h and shed its b (its U); INT64_MAX when s <= h.  */
-static inline i64 shed_at(const job_t *J, i64 x, i64 s)
-{
-    return s > J[x].h ? s - J[x].h : INT64_MAX;
-}
-
 /* The incumbent's prefixes over positions 0..k-1: C[k] its completion
    time, TS[k] its tardiness, NT[k] the number of its jobs that are late
    (C >= d) and DB[k] the sum of b over its jobs that start after their h;
-   and SU[k], the least U over positions k..n-1.  */
+   and SU[k], the least U over positions k..n-1, where a job's U is the
+   earliness at which, started at s after its h, it would start by h and
+   shed its b: s - h, or INT64_MAX when s <= h.  */
 typedef struct { i64 *C, *TS, *NT, *DB, *SU; } prefix_t;
 
 static void prefix_state(const i64 *seq, const job_t *J, i64 n, const prefix_t *P)
@@ -127,7 +122,7 @@ static void prefix_state(const i64 *seq, const job_t *J, i64 n, const prefix_t *
     }
     SU[n] = INT64_MAX;
     for (i64 k = n - 1; k >= 0; k--) {
-        i64 u = shed_at(J, seq[k], C[k]);
+        i64 h = J[seq[k]].h, u = C[k] > h ? C[k] - h : INT64_MAX;
         SU[k] = u < SU[k + 1] ? u : SU[k + 1];
     }
 }
@@ -170,20 +165,20 @@ static inline int put(const job_t *J, i64 x, i64 y, i64 *c, i64 *t, i64 total)
 /* A lower bound, in O(1), on what the incumbent's stretch lo..hi-1 adds
    to a candidate's tardiness when it is entered at a completion time no
    earlier than e, on either side of C[lo]; and, in *end unless end is
-   NULL, a lower bound on the completion time it ends at.  u is at most
-   the least U over the stretch (INT64_MAX when none of its jobs starts
-   after its h).  Entered g = e - C[lo] late (g >= 0) or -g early, each
-   job of the stretch completes at least g later than in the incumbent:
-   by the lemma when g >= 0, and when g < 0 because the earliness stays
-   -g while it is below u.  Once -g reaches u (u >= 1, so only when
+   NULL, a lower bound on the completion time it ends at.  U comes from
+   SU[lo], the least U over lo..n-1, which is never above the least U over
+   the stretch.  Entered g = e - C[lo] late (g >= 0) or -g early, each job
+   of the stretch completes at least g later than in the incumbent: by the
+   lemma when g >= 0, and when g < 0 because the earliness stays -g while
+   it is below SU[lo].  Once -g reaches SU[lo] (SU[lo] >= 1, so only when
    g < 0), g also takes off DB[hi] - DB[lo], the b that the stretch's jobs
    may shed.  Each job late in the incumbent then changes its tardiness by
    at least g, so the stretch adds at least TS[hi] - TS[lo] + g * (NT[hi]
    - NT[lo]), clamped at 0, and ends no earlier than C[hi] + g.  */
-static inline i64 stretch(const prefix_t *P, i64 lo, i64 hi, i64 u, i64 e, i64 *end)
+static inline i64 stretch(const prefix_t *P, i64 lo, i64 hi, i64 e, i64 *end)
 {
     i64 g = e - P->C[lo];
-    if (P->C[lo] - e >= u)
+    if (P->C[lo] - e >= P->SU[lo])
         g -= P->DB[hi] - P->DB[lo];
     if (end)
         *end = P->C[hi] + g;
@@ -192,18 +187,18 @@ static inline i64 stretch(const prefix_t *P, i64 lo, i64 hi, i64 u, i64 e, i64 *
 }
 
 /* A lower bound, in O(1), on the total of a candidate that has reached
-   (c, t) and continues with the incumbent's stretch lo..hi-1 (u as for
-   stretch), then the moved jobs x1 and x2 (each when nonzero), then the
-   unchanged tail from position k.  The stretch is bounded by stretch,
+   (c, t) and continues with the incumbent's stretch lo..hi-1, then the
+   moved jobs x1 and x2 (each when nonzero), then the unchanged tail from
+   position k.  The stretch is bounded by stretch, with U from SU[lo],
    which also gives a lower bound on its end; each moved job then
    completes no earlier than if it started there, and the tail is bounded
-   by stretch again, entered no earlier than the last moved job's end.  A
-   candidate whose bound reaches total is skipped before its window
-   walk.  */
-static inline i64 lower_bound(const job_t *J, const prefix_t *P, i64 lo, i64 hi, i64 u, i64 x1, i64 x2, i64 k,
-                              i64 c, i64 t, i64 n)
+   by stretch again, with U from SU[k], entered no earlier than the last
+   moved job's end.  A candidate whose bound reaches total is skipped
+   before its window walk.  */
+static inline i64 lower_bound(const job_t *J, const prefix_t *P, i64 lo, i64 hi, i64 x1, i64 x2, i64 k, i64 c,
+                              i64 t, i64 n)
 {
-    t += stretch(P, lo, hi, u, c, &c);
+    t += stretch(P, lo, hi, c, &c);
     if (x1) {
         c = fin(J, x1, c);
         t += tard(J, x1, c);
@@ -212,7 +207,7 @@ static inline i64 lower_bound(const job_t *J, const prefix_t *P, i64 lo, i64 hi,
         c = fin(J, x2, c);
         t += tard(J, x2, c);
     }
-    return t + stretch(P, k, n, P->SU[k], c, NULL);
+    return t + stretch(P, k, n, c, NULL);
 }
 
 /* Finish a candidate over the unchanged positions k..n-1, entered at
@@ -230,7 +225,7 @@ static i64 tail_eval(const i64 *seq, const job_t *J, const prefix_t *P, i64 k, i
         t += P->TS[n] - P->TS[k];
         return t < total ? t : -1;
     }
-    if (t + stretch(P, k, n, P->SU[k], c, NULL) >= total)
+    if (t + stretch(P, k, n, c, NULL) >= total)
         return -1;
     if (walk(seq, J, k, n, &c, &t, total))
         return -1;
@@ -242,21 +237,17 @@ static i64 tail_eval(const i64 *seq, const job_t *J, const prefix_t *P, i64 k, i
    first job and its second, or 0 when L = 1.  */
 
 /* Exchange the blocks at i and j >= i + L: the window is the block at j,
-   the stretch i+L..j-1, then the block at i.  u is the least U over that
-   stretch, kept as it grows by one job per j.  */
+   the stretch i+L..j-1, whose U stretch reads from SU[i + L], then the
+   block at i.  */
 static int scan_exchange(i64 *seq, const job_t *J, const prefix_t *P, i64 total, i64 n, i64 L)
 {
     const i64 *C = P->C, *TS = P->TS;
     for (i64 i = 0; i + 2 * L <= n; i++) {
-        i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0}, u = INT64_MAX;
+        i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
         for (i64 j = i + L; j + L <= n; j++) {
-            if (j > i + L) {
-                i64 uj = shed_at(J, seq[j - 1], C[j - 1]);
-                u = uj < u ? uj : u;
-            }
             i64 c = C[i], t = TS[i];
             if (put(J, seq[j], L == 2 ? seq[j + 1] : 0, &c, &t, total)
-                || lower_bound(J, P, i + L, j, u, blk[0], blk[1], j + L, c, t, n) >= total
+                || lower_bound(J, P, i + L, j, blk[0], blk[1], j + L, c, t, n) >= total
                 || walk(seq, J, i + L, j, &c, &t, total) || put(J, blk[0], blk[1], &c, &t, total))
                 continue;
             if (tail_eval(seq, J, P, j + L, c, t, total, n) >= 0) {
@@ -279,13 +270,12 @@ static int scan_shift(i64 *seq, const job_t *J, const prefix_t *P, i64 total, i6
     const i64 *C = P->C, *TS = P->TS;
     for (i64 i = 0; i + L <= n; i++) {
         i64 blk[2] = {seq[i], L == 2 ? seq[i + 1] : 0};
-        /* Targets before i: the block, then the stretch j..i-1, whose
-           least U is at least SU[j].  */
+        /* Targets before i: the block, then the stretch j..i-1.  */
         for (i64 j = 0; j < i; j++) {
             i64 c = C[j], t = TS[j];
             if (put(J, blk[0], blk[1], &c, &t, total))
                 break;
-            if (lower_bound(J, P, j, i, P->SU[j], 0, 0, i + L, c, t, n) >= total
+            if (lower_bound(J, P, j, i, 0, 0, i + L, c, t, n) >= total
                 || walk(seq, J, j, i, &c, &t, total))
                 continue;
             if (tail_eval(seq, J, P, i + L, c, t, total, n) >= 0) {
@@ -337,7 +327,7 @@ static int scan_two_opt(i64 *seq, const job_t *J, const prefix_t *P, i64 total, 
             e += c0 - C[i + 1];
             if (TS[i + 1] + w >= total)
                 break;
-            if (j < i + 3 || TS[i + 1] + w + stretch(P, j + 1, n, P->SU[j + 1], e, NULL) >= total)
+            if (j < i + 3 || TS[i + 1] + w + stretch(P, j + 1, n, e, NULL) >= total)
                 continue;
             i64 c = C[i + 1], t = TS[i + 1], k;
             for (k = j; k > i; k--)

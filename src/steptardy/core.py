@@ -112,17 +112,26 @@ class ScheduleResult:
 class RunResult:
     """Outcome of one heuristic/metaheuristic run.
 
-    elapsed is wall-clock seconds and is the only field excluded from the
-    determinism guarantees; trace holds the best value after each iteration.
+    It holds no time, so it is wholly determined by the instance and the
+    seed; trace holds the best value after each iteration.
     """
 
     best_sequence: tuple[int, ...]
     best_value: int
     iterations: int
     perturbations: int
-    elapsed: float
     seed: int | None
-    trace: tuple[int, ...] | None = None
+    trace: tuple[int, ...]
+
+
+def _require_ints(obj, names: Sequence[str]) -> None:
+    """Raise a ValueError naming the first of ``obj``'s attributes ``names``
+    that is not an int; bool is an int subclass, but True would seed, name
+    or draw as 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int (got {value!r})")
 
 
 def _check_permutation(instance: Instance, sequence: Sequence[int]) -> None:

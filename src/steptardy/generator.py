@@ -22,7 +22,7 @@ from math import inf, isfinite
 from random import Random
 from typing import Iterable, Sequence
 
-from .core import Instance, Job
+from .core import Instance, Job, _require_ints
 from .seeding import derive_seed
 
 H_CLASSES = (1, 2, 3)
@@ -43,11 +43,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "h_class", "d_class", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True would be named and drawn as 1
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int (got {value!r})")
+        _require_ints(self, ("n", "h_class", "d_class", "seed"))
         if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float)):
             raise ValueError(f"tau must be a number (got {self.tau!r})")
         if self.n < 1:

@@ -25,12 +25,11 @@ the incumbent changes: on an accepted candidate and on a perturbation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .core import Instance, RunResult, _check_permutation, total_tardiness
+from .core import Instance, RunResult, _check_permutation, _require_ints, total_tardiness
 from .neighborhoods import (
     NEIGHBORHOOD_IDS,
     _check_neighborhood,
@@ -58,12 +57,7 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iter_max", "iter_nip", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True would seed another stream
-            # than 1 and be reported as True
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int (got {value!r})")
+        _require_ints(self, ("iter_max", "iter_nip", "seed"))
         if not 2 <= self.iter_nip <= self.iter_max:
             raise ValueError("iter_nip must satisfy 2 <= iter_nip <= iter_max")
 
@@ -106,7 +100,6 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
     sequence ever seen is tracked separately so the perturbation never
     loses it.
     """
-    t0 = time.perf_counter()
     rng_shake = Random(derive_seed(params.seed, "shake"))
     rng_order = Random(derive_seed(params.seed, "order"))
     rng_perturb = Random(derive_seed(params.seed, "perturb"))
@@ -151,7 +144,6 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
         best_value=best_val,
         iterations=iter1,
         perturbations=perturbations,
-        elapsed=time.perf_counter() - t0,
         seed=params.seed,
         trace=tuple(trace),
     )
@@ -164,7 +156,6 @@ def vns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
     improvement the neighborhood is kept, otherwise the index advances.
     No perturbation phase, same stopping rule as ``gvns``.
     """
-    t0 = time.perf_counter()
     rng_shake = Random(derive_seed(params.seed, "shake"))
 
     cur = edd_sequence(instance)
@@ -190,7 +181,6 @@ def vns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
         best_value=cur_val,
         iterations=iter1,
         perturbations=0,
-        elapsed=time.perf_counter() - t0,
         seed=params.seed,
         trace=tuple(trace),
     )

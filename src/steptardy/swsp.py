@@ -17,7 +17,6 @@ stays the reference and the fallback.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -163,7 +162,6 @@ def swsp(instance: Instance) -> RunResult:
     Fully deterministic; RunResult.iterations is the number of weight
     triples evaluated and RunResult.trace the per-triple best values.
     """
-    t0 = time.perf_counter()
     seq, _, trace = weighted_search(instance)
     improved = pairwise_swap_pass(instance, seq)
     final_val = total_tardiness(instance, improved)
@@ -172,7 +170,6 @@ def swsp(instance: Instance) -> RunResult:
         best_value=final_val,
         iterations=len(trace),
         perturbations=0,
-        elapsed=time.perf_counter() - t0,
         seed=None,
         trace=tuple(trace),
     )

@@ -3,9 +3,9 @@
 Every search result here must stay identical, field for field, through any
 speed-up of the evaluator or the neighbourhood scanners: the same sequence,
 value, iteration and perturbation counts and trace for a seed, and the same
-``run_benchmark`` CSV bytes under ``zero_time``.  Only ``elapsed`` is left
-out.  The cases are trimmed so the file takes about 15 s on the pure-Python
-scanners.
+``run_benchmark`` CSV bytes under ``zero_time``.  A result holds no time,
+so every field is pinned.  The cases are trimmed so the file takes about
+15 s on the pure-Python scanners.
 
 Regenerate the golden file (only when a change is meant to alter results,
 and say why in the change) with::
@@ -62,7 +62,7 @@ def _run(instance, method, params):
         "iterations": result.iterations,
         "perturbations": result.perturbations,
         "seed": result.seed,
-        "trace": None if result.trace is None else list(result.trace),
+        "trace": list(result.trace),
     }
 
 

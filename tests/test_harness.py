@@ -246,8 +246,8 @@ class TestRunBenchmark:
                 best_value=0,
                 iterations=1,
                 perturbations=0,
-                elapsed=0.0,
                 seed=None,
+                trace=(0,),
             )
 
         monkeypatch.setattr(harness, "swsp", lying_swsp)

@@ -20,18 +20,6 @@ from steptardy import neighborhoods
 from conftest import instances, make_instance, random_instance
 
 
-def run_key(result):
-    """All RunResult fields covered by the determinism contract."""
-    return (
-        result.best_sequence,
-        result.best_value,
-        result.iterations,
-        result.perturbations,
-        result.seed,
-        result.trace,
-    )
-
-
 class TestSearchParams:
     def test_defaults(self):
         params = SearchParams()
@@ -135,7 +123,8 @@ class TestGvns:
 
     def test_seed_determinism(self, demo8):
         params = SearchParams(seed=77, iter_max=60, iter_nip=40)
-        assert run_key(gvns(demo8, params)) == run_key(gvns(demo8, params))
+        first, second = gvns(demo8, params), gvns(demo8, params)
+        assert first == second
 
     def test_different_seeds_draw_different_streams(self):
         # demo8 converges on the first descent for many seeds, so best-value
@@ -191,7 +180,8 @@ class TestVns:
 
     def test_seed_determinism(self, demo8):
         params = SearchParams(seed=13, iter_max=60, iter_nip=40)
-        assert run_key(vns(demo8, params)) == run_key(vns(demo8, params))
+        first, second = vns(demo8, params), vns(demo8, params)
+        assert first == second
 
     def test_no_perturbations(self, demo8):
         assert vns(demo8, SearchParams(seed=1, iter_max=40, iter_nip=30)).perturbations == 0

@@ -112,11 +112,8 @@ class TestSwsp:
         assert run.seed is None
 
     def test_deterministic(self, demo8):
-        first = swsp(demo8)
-        second = swsp(demo8)
-        assert first.best_sequence == second.best_sequence
-        assert first.best_value == second.best_value
-        assert first.trace == second.trace
+        first, second = swsp(demo8), swsp(demo8)
+        assert first == second
 
     def test_all_slack_instance_reaches_zero(self):
         instance = make_instance([(3, 2, 10_000, 0)] * 4)
