@@ -21,8 +21,12 @@
    - SWSP: swsp.py's weighted_search and pairwise_swap_pass.  The swap pass
      is a line-for-line port.  The weighted search builds the same greedy
      sequences as greedy_construct, which stays the reference, but finds
-     each pick from two sorted orders instead of a scan over every
-     unscheduled job; steptardy_weighted_search gives the argument.  The
+     each pick from two sorted orders of (score, id) entries instead of a
+     scan over every unscheduled job, with the unscheduled jobs as bitsets
+     in two registers while the n - 1 candidates fit one 64-bit word
+     (n <= 65) and in arrays of words past that.  It stops a weight triple
+     once its running tardiness reaches the best total, since that triple
+     can no longer win.  steptardy_weighted_search gives the argument.  The
      greedy scores are the same double expression, w1*d + w2*p + w3*h
      evaluated left to right from the weights Python computed (see
      _KERNEL_FLAGS), so every comparison and tie-break matches.
@@ -525,22 +529,30 @@ no_memory:
     return -1;
 }
 
-/* SWSP.  (kx, x) comes before (ky, y) in the greedy's order: the smaller
-   score, and the smaller id on a tie, as greedy_construct's (key, j)
-   tuples compare.  */
-static inline int before(double kx, i64 x, double ky, i64 y)
+/* SWSP.  One entry of the greedy's sorted orders: a job id with its score
+   under the current weight triple.  x comes before y in the greedy's order
+   when its score is smaller, or equal and its id smaller, as
+   greedy_construct's (key, j) tuples compare.  Scores rarely tie, so the
+   ids are compared only on a tie: GCC compiles the || form to compare the
+   ids first, a branch that goes either way at random.  */
+typedef struct { double key; i64 id; } entry_t;
+
+static inline int before(entry_t x, entry_t y)
 {
-    return kx < ky || (kx == ky && x < y);
+    if (x.key != y.key)
+        return x.key < y.key;
+    return x.id < y.id;
 }
 
-/* Insertion sort of the jobs ord[0..m-1] by (key, id).  That is a strict
-   order, so the result does not depend on the order ord starts in, and an
-   order carried over from a neighbouring weight triple is nearly sorted.  */
-static void sort_by_key(i64 *ord, const double *key, i64 m)
+/* Insertion sort of ord[0..m-1] by (key, id).  That is a strict order, so
+   the result does not depend on the order ord starts in, and an order
+   carried over from a neighbouring weight triple is nearly sorted.  */
+static void sort_entries(entry_t *ord, i64 m)
 {
     for (i64 r = 1; r < m; r++) {
-        i64 x = ord[r], q = r;
-        for (; q > 0 && before(key[x], x, key[ord[q - 1]], ord[q - 1]); q--)
+        entry_t x = ord[r];
+        i64 q = r;
+        for (; q > 0 && before(x, ord[q - 1]); q--)
             ord[q] = ord[q - 1];
         ord[q] = x;
     }
@@ -557,52 +569,65 @@ static inline void flip(uint64_t *bits, i64 q)
     bits[q >> 6] ^= (uint64_t)1 << (q & 63);
 }
 
-/* The job at the lowest set bit of bits (nw words) over the positions of
-   ord, or 0 when no bit is set.  */
-static inline i64 head(const uint64_t *bits, i64 nw, const i64 *ord)
+/* The lowest set position of bits (nw words), or -1 when no bit is set.  */
+static inline i64 lowest(const uint64_t *bits, i64 nw)
 {
     for (i64 q = 0; q < nw; q++)
         if (bits[q])
-            return ord[64 * q + __builtin_ctzll(bits[q])];
-    return 0;
+            return 64 * q + __builtin_ctzll(bits[q]);
+    return -1;
 }
+
+/* A job's row as doubles, for the greedy's scores.  */
+typedef struct { double a, ab, d, h; } jobd_t;
 
 /* weighted_search over the m triples of grid (w1, w2, w3 each), n >= 1:
    best_seq gets the first sequence that reaches the best total, trace[t]
    the best total after triple t.  Returns 0, or -1 with MemoryError set.
 
    Each step of greedy_construct appends the unscheduled job with the
-   smallest (score, id), where a job's score is key_a while the completion
-   time c <= h and key_ab after.  c only grows, so a job switches from
-   key_a to key_ab once and never back.  The r = n - 1 jobs after the first
-   (the smallest due date, the smaller id on a tie, whatever the weights)
-   are kept in two orders, ord_a by (key_a, id) and ord_ab by (key_ab, id),
+   smallest (score, id), where a job's score is w1*d + w2*a + w3*h while the
+   completion time c <= h and w1*d + w2*(a + b) + w3*h after.  c only
+   grows, so a job switches from the first score to the second once and
+   never back.  The r = n - 1 jobs after the first (the smallest due date,
+   the smaller id on a tie, whatever the weights) are kept in two orders of
+   (score, id) entries, ord_a by the first score and ord_ab by the second,
    with two bitsets over their positions: A holds the unscheduled jobs with
    c <= h and B those with c > h.  by_h lists the jobs by h, so each one
    moves from A to B as c passes its h.  The lowest set bit of A is the
    smallest (score, id) among A's jobs, and likewise for B, so the smaller
    of the two heads is the job the scan would pick.  The orders are carried
-   from one triple to the next and sorted again.  */
+   from one triple to the next; each triple computes the scores in place
+   from the rows as doubles, converted once, and sorts the orders again.
+   While the r jobs fit one 64-bit word (n <= 65), A and B are two
+   registers; past that, arrays of nw words.
+
+   A triple after the first stops once its running tardiness reaches the
+   best total so far: tardiness terms are never negative, so its total
+   would be at least the best, and on a tie the earlier triple wins.  Its
+   trace entry is the best so far either way.  */
 static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
 {
     i64 r = n - 1, nw = r / 64 + 1;
-    /* one block of 8-byte entries: the i64 arrays, the keys, the bitsets */
-    i64 *seq = PyMem_Malloc((size_t)(n + 3 * r + 4 * (n + 1) + 2 * nw) * sizeof *seq);
+    /* one block of 8-byte units: the i64 arrays, the bitsets, the rows as
+       doubles (4 units each) and the orders (2 units per entry) */
+    i64 *seq = PyMem_Malloc((size_t)(n + 5 * r + 6 * (n + 1) + 2 * nw) * sizeof *seq);
     if (seq == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    i64 *ord_a = seq + n, *ord_ab = ord_a + r, *by_h = ord_ab + r;
-    i64 *pos_a = by_h + r, *pos_ab = pos_a + n + 1;
-    double *key_a = (double *)(pos_ab + n + 1), *key_ab = key_a + n + 1;
-    uint64_t *A = (uint64_t *)(key_ab + n + 1), *B = A + nw;
+    i64 *by_h = seq + n, *pos_a = by_h + r, *pos_ab = pos_a + n + 1;
+    uint64_t *A = (uint64_t *)(pos_ab + n + 1), *B = A + nw;
+    jobd_t *F = (jobd_t *)(B + nw);
+    entry_t *ord_a = (entry_t *)(F + n + 1), *ord_ab = ord_a + r;
     i64 first = 1;
     for (i64 j = 2; j <= n; j++)
         if (J[j].d < J[first].d)
             first = j;
     for (i64 j = 1, q = 0; j <= n; j++) {
+        F[j] = (jobd_t){(double)J[j].a, (double)J[j].ab, (double)J[j].d, (double)J[j].h};
         if (j != first) {
-            ord_a[q] = ord_ab[q] = by_h[q] = j;
+            ord_a[q].id = ord_ab[q].id = by_h[q] = j;
             q++;
         }
     }
@@ -613,45 +638,74 @@ static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, 
             by_h[s] = by_h[s - 1];
         by_h[s] = x;
     }
-    i64 best_val = 0;
+    /* A at the start of each triple on the register path: bits 0..r-1 */
+    uint64_t all = r < 64 ? ((uint64_t)1 << r) - 1 : ~(uint64_t)0;
+    i64 best_val = INT64_MAX; /* no bound on the first triple */
     for (i64 t = 0; t < m; t++) {
         const double *w = grid + 3 * t;
-        for (i64 j = 1; j <= n; j++) {
-            key_a[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].a + w[2] * (double)J[j].h;
-            key_ab[j] = w[0] * (double)J[j].d + w[1] * (double)J[j].ab + w[2] * (double)J[j].h;
-        }
-        sort_by_key(ord_a, key_a, r);
-        sort_by_key(ord_ab, key_ab, r);
-        memset(A, 0, (size_t)nw * 2 * sizeof *A);
         for (i64 q = 0; q < r; q++) {
-            pos_a[ord_a[q]] = q;
-            pos_ab[ord_ab[q]] = q;
-            flip(A, q);
+            const jobd_t *x = &F[ord_a[q].id], *y = &F[ord_ab[q].id];
+            ord_a[q].key = w[0] * x->d + w[1] * x->a + w[2] * x->h;
+            ord_ab[q].key = w[0] * y->d + w[1] * y->ab + w[2] * y->h;
+        }
+        sort_entries(ord_a, r);
+        sort_entries(ord_ab, r);
+        for (i64 q = 0; q < r; q++) {
+            pos_a[ord_a[q].id] = q;
+            pos_ab[ord_ab[q].id] = q;
         }
         seq[0] = first;
         i64 c = J[first].a; /* the first start is 0 <= h for any h >= 0 */
         i64 val = tard(J, first, c), moved = 0;
-        for (i64 k = 1; k < n; k++) {
-            for (; moved < r && J[by_h[moved]].h < c; moved++) {
-                i64 x = by_h[moved];
-                if (has(A, pos_a[x])) {
-                    flip(A, pos_a[x]);
-                    flip(B, pos_ab[x]);
+        if (r <= 64) {
+            uint64_t a = all, b = 0;
+            for (i64 k = 1; k < n && val < best_val; k++) {
+                for (; moved < r && J[by_h[moved]].h < c; moved++) {
+                    i64 x = by_h[moved];
+                    if (a >> pos_a[x] & 1) {
+                        a ^= (uint64_t)1 << pos_a[x];
+                        b |= (uint64_t)1 << pos_ab[x];
+                    }
                 }
+                i64 x;
+                if (b == 0 || (a != 0 && before(ord_a[__builtin_ctzll(a)], ord_ab[__builtin_ctzll(b)]))) {
+                    x = ord_a[__builtin_ctzll(a)].id;
+                    a &= a - 1;
+                } else {
+                    x = ord_ab[__builtin_ctzll(b)].id;
+                    b &= b - 1;
+                }
+                seq[k] = x;
+                c = fin(J, x, c);
+                val += tard(J, x, c);
             }
-            i64 xa = head(A, nw, ord_a), xb = head(B, nw, ord_ab), x;
-            if (xb == 0 || (xa != 0 && before(key_a[xa], xa, key_ab[xb], xb))) {
-                x = xa;
-                flip(A, pos_a[x]);
-            } else {
-                x = xb;
-                flip(B, pos_ab[x]);
+        } else {
+            memset(A, 0, (size_t)nw * 2 * sizeof *A);
+            for (i64 q = 0; q < r; q++)
+                flip(A, q);
+            for (i64 k = 1; k < n && val < best_val; k++) {
+                for (; moved < r && J[by_h[moved]].h < c; moved++) {
+                    i64 x = by_h[moved];
+                    if (has(A, pos_a[x])) {
+                        flip(A, pos_a[x]);
+                        flip(B, pos_ab[x]);
+                    }
+                }
+                i64 qa = lowest(A, nw), qb = lowest(B, nw), x;
+                if (qb < 0 || (qa >= 0 && before(ord_a[qa], ord_ab[qb]))) {
+                    x = ord_a[qa].id;
+                    flip(A, qa);
+                } else {
+                    x = ord_ab[qb].id;
+                    flip(B, qb);
+                }
+                seq[k] = x;
+                c = fin(J, x, c);
+                val += tard(J, x, c);
             }
-            seq[k] = x;
-            c = fin(J, x, c);
-            val += tard(J, x, c);
         }
-        if (t == 0 || val < best_val) {
+        /* a triple stopped at the best has val >= best_val: no improvement */
+        if (val < best_val) {
             memcpy(best_seq, seq, (size_t)n * sizeof *seq);
             best_val = val;
         }

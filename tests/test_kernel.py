@@ -398,7 +398,7 @@ FAILURES = {
         (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 5 * sizeof *C);", "i64 *C = NULL;"),
          "descend(rows, seq, [2, 4], None, 0)", ""),
         # the greedy's arrays cannot be allocated
-        (("i64 *seq = PyMem_Malloc((size_t)(n + 3 * r + 4 * (n + 1) + 2 * nw) * sizeof *seq);",
+        (("i64 *seq = PyMem_Malloc((size_t)(n + 5 * r + 6 * (n + 1) + 2 * nw) * sizeof *seq);",
           "i64 *seq = NULL;"),
          "weighted_search(rows, _weights(10))", ""),
         # the DP's labels cannot be allocated, or grown (past 1,024 at n=10)
@@ -489,6 +489,9 @@ for instance in instances:
     assert pairwise_swap_pass(instance, seq) == _pairwise_swap_pass_python(instance, seq)
     if n <= 14:
         assert branch_and_bound(instance) == _branch_and_bound_python(instance)
+# the greedy's last register case: a candidate at the word's top bit
+wide = generate_suite([65], 0)[0]
+assert weighted_search(wide) == _weighted_search_python(wide)
 # an early entry makes the early-side term D * count about 2^61.6 here
 early = early_entry_instance()
 for k in NEIGHBORHOOD_IDS:
@@ -644,9 +647,10 @@ def test_swsp_parity_with_ties(case):
 
 
 @needs_kernel
-@pytest.mark.parametrize("n", [63, 64, 65])
+@pytest.mark.parametrize("n", [64, 65, 66])
 def test_weighted_search_parity_at_the_bitset_word_boundary(n):
-    # the kernel's greedy keeps its n - 1 candidate jobs in 64-bit words
+    # the kernel's greedy keeps its n - 1 candidate jobs in one 64-bit
+    # register word up to n = 65 and in an array of words from n = 66
     instance = generate_suite([n], 0)[0]
     assert weighted_search(instance) == _weighted_search_python(instance)
 
