@@ -22,9 +22,11 @@
      is a line-for-line port.  The weighted search builds the same greedy
      sequences as greedy_construct, which stays the reference, but finds
      each pick from two sorted orders of (score, id) entries instead of a
-     scan over every unscheduled job, with the unscheduled jobs as bitsets
-     in two registers while the n - 1 candidates fit one 64-bit word
-     (n <= 65) and in arrays of words past that.  It stops a weight triple
+     scan over every unscheduled job.  While the n - 1 candidates fit one
+     64-bit word (n <= 65), the unscheduled jobs are bitsets over order
+     positions in two registers; past that, each job has a state byte and
+     each order a head, never past the least position of its set, which
+     costs at most O(n^2) head steps per triple.  It stops a weight triple
      once its running tardiness reaches the best total, since that triple
      can no longer win.  steptardy_weighted_search gives the argument.  The
      greedy scores are the same double expression, w1*d + w2*p + w3*h
@@ -558,26 +560,6 @@ static void sort_entries(entry_t *ord, i64 m)
     }
 }
 
-/* Bitsets over order positions, in 64-bit words.  */
-static inline int has(const uint64_t *bits, i64 q)
-{
-    return bits[q >> 6] >> (q & 63) & 1;
-}
-
-static inline void flip(uint64_t *bits, i64 q)
-{
-    bits[q >> 6] ^= (uint64_t)1 << (q & 63);
-}
-
-/* The lowest set position of bits (nw words), or -1 when no bit is set.  */
-static inline i64 lowest(const uint64_t *bits, i64 nw)
-{
-    for (i64 q = 0; q < nw; q++)
-        if (bits[q])
-            return 64 * q + __builtin_ctzll(bits[q]);
-    return -1;
-}
-
 /* A job's row as doubles, for the greedy's scores.  */
 typedef struct { double a, ab, d, h; } jobd_t;
 
@@ -591,16 +573,27 @@ typedef struct { double a, ab, d, h; } jobd_t;
    grows, so a job switches from the first score to the second once and
    never back.  The r = n - 1 jobs after the first (the smallest due date,
    the smaller id on a tie, whatever the weights) are kept in two orders of
-   (score, id) entries, ord_a by the first score and ord_ab by the second,
-   with two bitsets over their positions: A holds the unscheduled jobs with
-   c <= h and B those with c > h.  by_h lists the jobs by h, so each one
-   moves from A to B as c passes its h.  The lowest set bit of A is the
-   smallest (score, id) among A's jobs, and likewise for B, so the smaller
-   of the two heads is the job the scan would pick.  The orders are carried
-   from one triple to the next; each triple computes the scores in place
-   from the rows as doubles, converted once, and sorts the orders again.
-   While the r jobs fit one 64-bit word (n <= 65), A and B are two
-   registers; past that, arrays of nw words.
+   (score, id) entries, ord_a by the first score and ord_ab by the second:
+   A holds the unscheduled jobs with c <= h and B those with c > h.  by_h
+   lists the jobs by h, so each one moves from A to B as c passes its h.
+   The member of A at the least position of ord_a has the smallest
+   (score, id) among A's jobs, and likewise for B in ord_ab, so the smaller
+   of the two is the job the scan would pick.  The orders are carried from
+   one triple to the next; each triple computes the scores in place from
+   the rows as doubles, converted once, and sorts the orders again.
+
+   While the r jobs fit one 64-bit word (n <= 65), A and B are bitsets over
+   order positions in two registers, and a least position is the lowest set
+   bit.  Past that, state[x] is 0 while job x is in A, 1 once it is in B
+   and 2 once it is scheduled, and each set has a head, a position in its
+   order that is never past the set's least member: a head moves forward
+   only over positions whose jobs are not in its set, and the least
+   member moves back only when a job enters the set.  A only loses jobs,
+   so A's head only moves forward.  B's head drops to pos_ab[x] when job x
+   enters B below it.  Before each pick both heads move forward to their
+   sets' least members.  A's head steps at most r times per triple; B's
+   head may step over the same positions again after each of up to r
+   entries, so at most O(r^2) times, the order of the scan it replaces.
 
    A triple after the first stops once its running tardiness reaches the
    best total so far: tardiness terms are never negative, so its total
@@ -608,18 +601,19 @@ typedef struct { double a, ab, d, h; } jobd_t;
    trace entry is the best so far either way.  */
 static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
 {
-    i64 r = n - 1, nw = r / 64 + 1;
-    /* one block of 8-byte units: the i64 arrays, the bitsets, the rows as
-       doubles (4 units each) and the orders (2 units per entry) */
-    i64 *seq = PyMem_Malloc((size_t)(n + 5 * r + 6 * (n + 1) + 2 * nw) * sizeof *seq);
+    i64 r = n - 1;
+    /* one block: in 8-byte units the i64 arrays, the rows as doubles (4
+       units each) and the orders (2 units per entry), then the state bytes
+       of job ids 0..n */
+    i64 *seq = PyMem_Malloc((size_t)(n + 5 * r + 6 * (n + 1)) * sizeof *seq + (size_t)(n + 1));
     if (seq == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     i64 *by_h = seq + n, *pos_a = by_h + r, *pos_ab = pos_a + n + 1;
-    uint64_t *A = (uint64_t *)(pos_ab + n + 1), *B = A + nw;
-    jobd_t *F = (jobd_t *)(B + nw);
+    jobd_t *F = (jobd_t *)(pos_ab + n + 1);
     entry_t *ord_a = (entry_t *)(F + n + 1), *ord_ab = ord_a + r;
+    unsigned char *state = (unsigned char *)(ord_ab + r);
     i64 first = 1;
     for (i64 j = 2; j <= n; j++)
         if (J[j].d < J[first].d)
@@ -680,25 +674,23 @@ static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, 
                 val += tard(J, x, c);
             }
         } else {
-            memset(A, 0, (size_t)nw * 2 * sizeof *A);
-            for (i64 q = 0; q < r; q++)
-                flip(A, q);
+            memset(state, 0, (size_t)(n + 1));
+            i64 qa = 0, qb = r; /* the heads of A and of B, which starts empty */
             for (i64 k = 1; k < n && val < best_val; k++) {
                 for (; moved < r && J[by_h[moved]].h < c; moved++) {
                     i64 x = by_h[moved];
-                    if (has(A, pos_a[x])) {
-                        flip(A, pos_a[x]);
-                        flip(B, pos_ab[x]);
+                    if (state[x] == 0) {
+                        state[x] = 1;
+                        if (pos_ab[x] < qb)
+                            qb = pos_ab[x];
                     }
                 }
-                i64 qa = lowest(A, nw), qb = lowest(B, nw), x;
-                if (qb < 0 || (qa >= 0 && before(ord_a[qa], ord_ab[qb]))) {
-                    x = ord_a[qa].id;
-                    flip(A, qa);
-                } else {
-                    x = ord_ab[qb].id;
-                    flip(B, qb);
-                }
+                while (qa < r && state[ord_a[qa].id] != 0)
+                    qa++;
+                while (qb < r && state[ord_ab[qb].id] != 1)
+                    qb++;
+                i64 x = qb == r || (qa < r && before(ord_a[qa], ord_ab[qb])) ? ord_a[qa].id : ord_ab[qb].id;
+                state[x] = 2;
                 seq[k] = x;
                 c = fin(J, x, c);
                 val += tard(J, x, c);
@@ -813,21 +805,6 @@ static PyObject *list_of(const i64 *v, i64 n)
     return list;
 }
 
-/* The tuple (a, b), taking over both references; NULL with an exception
-   set when either is NULL or the tuple cannot be made.  */
-static PyObject *pair(PyObject *a, PyObject *b)
-{
-    PyObject *t = a != NULL && b != NULL ? PyTuple_New(2) : NULL;
-    if (t == NULL) {
-        Py_XDECREF(a);
-        Py_XDECREF(b);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(t, 0, a);
-    PyTuple_SET_ITEM(t, 1, b);
-    return t;
-}
-
 static PyObject *py_descend(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -907,8 +884,11 @@ static PyObject *py_weighted_search(PyObject *module, PyObject *const *args, Py_
         return PyErr_NoMemory();
     PyObject *result = NULL;
     if (steptardy_weighted_search(J, n, (const double *)PyBytes_AS_STRING(args[1]), m, seq, seq + n) == 0) {
-        PyObject *best = list_of(seq, n);
-        result = pair(best, best != NULL ? list_of(seq + n, m) : NULL);
+        PyObject *best = list_of(seq, n), *trace = best != NULL ? list_of(seq + n, m) : NULL;
+        if (trace != NULL)
+            result = Py_BuildValue("(NN)", best, trace);
+        else
+            Py_XDECREF(best);
     }
     PyMem_Free(seq);
     return result;

@@ -398,7 +398,7 @@ FAILURES = {
         (("i64 *C = PyMem_Malloc((size_t)(n + 1) * 5 * sizeof *C);", "i64 *C = NULL;"),
          "descend(rows, seq, [2, 4], None, 0)", ""),
         # the greedy's arrays cannot be allocated
-        (("i64 *seq = PyMem_Malloc((size_t)(n + 5 * r + 6 * (n + 1) + 2 * nw) * sizeof *seq);",
+        (("i64 *seq = PyMem_Malloc((size_t)(n + 5 * r + 6 * (n + 1)) * sizeof *seq + (size_t)(n + 1));",
           "i64 *seq = NULL;"),
          "weighted_search(rows, _weights(10))", ""),
         # the DP's labels cannot be allocated, or grown (past 1,024 at n=10)
@@ -452,7 +452,8 @@ def test_kernel_failures_raise_their_own_errors(tmp_path, error, mutation, call,
 
 # the parity cases of the four entry points, for a kernel built with
 # UBSan: int64 overflow, a shift past the width and an out-of-bounds index
-# abort the process instead of passing unseen
+# abort the process instead of passing unseen; and with ASan, for accesses
+# past the end of an allocation
 UBSAN_PARITY = """
 import random
 from steptardy import neighborhoods as m, generate_suite, NEIGHBORHOOD_IDS, total_tardiness
@@ -489,9 +490,10 @@ for instance in instances:
     assert pairwise_swap_pass(instance, seq) == _pairwise_swap_pass_python(instance, seq)
     if n <= 14:
         assert branch_and_bound(instance) == _branch_and_bound_python(instance)
-# the greedy's last register case: a candidate at the word's top bit
-wide = generate_suite([65], 0)[0]
-assert weighted_search(wide) == _weighted_search_python(wide)
+# the greedy's last register case, a candidate at the word's top bit, and
+# its first case with state bytes
+for wide in generate_suite([65], 0)[:1] + generate_suite([66], 0)[:1]:
+    assert weighted_search(wide) == _weighted_search_python(wide)
 # an early entry makes the early-side term D * count about 2^61.6 here
 early = early_entry_instance()
 for k in NEIGHBORHOOD_IDS:
@@ -501,22 +503,44 @@ print("ok", len(instances))
 """
 
 
-@needs_compiler
-def test_kernel_parity_under_ubsan(tmp_path):
-    # the compiler prints a bare name for a library it does not find
-    found = subprocess.run(COMPILER + ["-print-file-name=libubsan.so"], capture_output=True, text=True)
+def _sanitizer_runtime(name):
+    """The path of the compiler's runtime library ``name``; the test is
+    skipped where the compiler finds none, for which it prints a bare name."""
+    found = subprocess.run(COMPILER + [f"-print-file-name={name}"], capture_output=True, text=True)
     if found.returncode != 0 or not os.path.isabs(found.stdout.strip()):
-        pytest.skip(f"{COMPILER[0]} finds no libubsan")
-    library = _compile_kernel(
-        KERNEL_SOURCE, tmp_path / "_kernel.so", "-fsanitize=undefined", "-fno-sanitize-recover=all"
-    )
+        pytest.skip(f"{COMPILER[0]} finds no {name}")
+    return found.stdout.strip()
+
+
+def _sanitized_parity(tmp_path, flags, env=None):
+    """UBSAN_PARITY run, with ``env`` added, on a kernel built with ``flags``."""
+    library = _compile_kernel(KERNEL_SOURCE, tmp_path / "_kernel.so", *flags)
     # conftest is importable from the fresh interpreter's working directory
     out = _run_python(
         Path(__file__).parent,
         f"LIBRARY = {str(library)!r}\n" + UBSAN_PARITY,
         Path(neighborhoods.__file__).parents[1],
+        env=env,
     )
     assert out.startswith("ok"), out
+
+
+@needs_compiler
+def test_kernel_parity_under_ubsan(tmp_path):
+    _sanitizer_runtime("libubsan.so")
+    _sanitized_parity(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=all"])
+
+
+@needs_compiler
+def test_kernel_parity_under_asan(tmp_path):
+    # the ASan runtime must load before the interpreter's allocator is used,
+    # and PYTHONMALLOC=malloc sends PyMem_Malloc's blocks to its malloc, so
+    # that a read or write past a kernel allocation aborts the process.
+    # Each function takes one allocation for all its arrays, so an overrun
+    # from one array into the next stays inside the block, unseen by ASan.
+    runtime = _sanitizer_runtime("libasan.so")
+    env = {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
+    _sanitized_parity(tmp_path, ["-fsanitize=address"], env)
 
 
 @needs_kernel
@@ -622,18 +646,22 @@ def equal_jobs(draw):
     return make_instance(rows), list(seq)
 
 
-# 65 jobs of two kinds, past one 64-bit word of the kernel's greedy: at some
-# weight triples one kind's score before its deteriorating date equals the
-# other's after it, so the kernel's two candidate heads tie on score and the
-# smaller id must win; within a kind only the id orders the jobs
-TWO_KINDS_65 = make_instance(
-    [random.Random(65).choice([(3, 3, 19, 9), (1, 3, 11, 12)]) for _ in range(65)]
-)
+def two_kinds(n):
+    """n jobs of two kinds, drawn with seed n.  At the first weight triple
+    one kind's score before its deteriorating date equals the other's after
+    it, so the kernel's two candidate heads tie on score and the smaller id
+    must win; within a kind only the id orders the jobs."""
+    rng = random.Random(n)
+    return make_instance([rng.choice([(3, 3, 19, 9), (1, 3, 11, 12)]) for _ in range(n)])
 
 
+# the kernel's greedy keeps the n - 1 candidates in one 64-bit register
+# word at n = 65, the last such n, and in state bytes with one head per
+# order at n = 66, where B's head also drops as jobs enter B below it
 @needs_kernel
 @settings(max_examples=200, deadline=None)
-@example((TWO_KINDS_65, list(range(65, 0, -1))))
+@example((two_kinds(65), list(range(65, 0, -1))))
+@example((two_kinds(66), list(range(66, 0, -1))))
 @given(st.one_of(
     equal_jobs(),
     tied_cases(),
@@ -649,8 +677,8 @@ def test_swsp_parity_with_ties(case):
 @needs_kernel
 @pytest.mark.parametrize("n", [64, 65, 66])
 def test_weighted_search_parity_at_the_bitset_word_boundary(n):
-    # the kernel's greedy keeps its n - 1 candidate jobs in one 64-bit
-    # register word up to n = 65 and in an array of words from n = 66
+    # the kernel's greedy keeps its n - 1 candidate jobs as bitsets in
+    # 64-bit registers up to n = 65 and as state bytes from n = 66
     instance = generate_suite([n], 0)[0]
     assert weighted_search(instance) == _weighted_search_python(instance)
 
@@ -714,13 +742,14 @@ NO_PROCESS = (
 )
 
 
-def _run_python(cwd, script, path, timeout=300):
+def _run_python(cwd, script, path, timeout=300, env=None):
     """The stdout of ``script`` run in a fresh interpreter with ``path``
-    first on the module path, which must exit cleanly."""
+    first on the module path and the variables ``env`` added to the
+    environment, which must exit cleanly."""
     proc = subprocess.run(
         [sys.executable, "-c", script],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": str(path)},
+        env={**os.environ, **(env or {}), "PYTHONPATH": str(path)},
         capture_output=True,
         text=True,
         timeout=timeout,
