@@ -563,9 +563,10 @@ static void sort_entries(entry_t *ord, i64 m)
 /* A job's row as doubles, for the greedy's scores.  */
 typedef struct { double a, ab, d, h; } jobd_t;
 
-/* weighted_search over the m triples of grid (w1, w2, w3 each), n >= 1:
-   best_seq gets the first sequence that reaches the best total, trace[t]
-   the best total after triple t.  Returns 0, or -1 with MemoryError set.
+/* weighted_search over the m = n * n triples of grid (w1, w2, w3 each),
+   n >= 1: best_seq gets the first sequence that reaches the best total,
+   trace[t] the best total after triple t.  Returns 0, or -1 with
+   MemoryError set.
 
    Each step of greedy_construct appends the unscheduled job with the
    smallest (score, id), where a job's score is w1*d + w2*a + w3*h while the
@@ -599,9 +600,9 @@ typedef struct { double a, ab, d, h; } jobd_t;
    best total so far: tardiness terms are never negative, so its total
    would be at least the best, and on a tie the earlier triple wins.  Its
    trace entry is the best so far either way.  */
-static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 m, i64 *best_seq, i64 *trace)
+static int steptardy_weighted_search(const job_t *J, i64 n, const double *grid, i64 *best_seq, i64 *trace)
 {
-    i64 r = n - 1;
+    i64 r = n - 1, m = n * n;
     /* one block: in 8-byte units the i64 arrays, the rows as doubles (4
        units each) and the orders (2 units per entry), then the state bytes
        of job ids 0..n */
@@ -763,10 +764,10 @@ static const job_t *job_rows(PyObject *rows, i64 *last)
 
 /* The entries of the sequence ids as a new array of *n int64s, to be freed
    with PyMem_Free; NULL with an exception set unless each is an int in
-   lo..hi, where lo >= 1.  what names an entry in the message.  Only an int
+   1..hi.  what names an entry in the message.  Only an int
    is read, so no Python code (an __index__) runs while a caller's list is
    being read.  */
-static i64 *read_ids(PyObject *ids, const char *what, i64 lo, i64 hi, Py_ssize_t *n)
+static i64 *read_ids(PyObject *ids, const char *what, i64 hi, Py_ssize_t *n)
 {
     PyObject *fast = PySequence_Fast(ids, "expected a sequence of ids");
     if (fast == NULL)
@@ -779,11 +780,10 @@ static i64 *read_ids(PyObject *ids, const char *what, i64 lo, i64 hi, Py_ssize_t
         PyObject *x = PySequence_Fast_GET_ITEM(fast, k);
         if (!PyLong_Check(x))
             PyErr_Format(PyExc_TypeError, "expected an int, got %.100s", Py_TYPE(x)->tp_name);
-        else if ((v[k] = PyLong_AsLongLong(x)) >= lo && v[k] <= hi)
+        else if ((v[k] = PyLong_AsLongLong(x)) >= 1 && v[k] <= hi)
             continue;
         else if (v[k] != -1 || !PyErr_Occurred()) /* else OverflowError is set */
-            PyErr_Format(PyExc_ValueError, "%s %lld outside %lld..%lld", what, (long long)v[k], (long long)lo,
-                         (long long)hi);
+            PyErr_Format(PyExc_ValueError, "%s %lld outside 1..%lld", what, (long long)v[k], (long long)hi);
         PyMem_Free(v);
         v = NULL;
     }
@@ -813,12 +813,12 @@ static PyObject *py_descend(PyObject *module, PyObject *const *args, Py_ssize_t 
     i64 last, total, proven;
     Py_ssize_t n, m, ni;
     const job_t *J = job_rows(args[0], &last);
-    i64 *seq = J != NULL ? read_ids(args[1], "job id", 1, last, &n) : NULL;
-    i64 *order = seq != NULL ? read_ids(args[2], "neighborhood id", 1, 5, &m) : NULL;
+    i64 *seq = J != NULL ? read_ids(args[1], "job id", last, &n) : NULL;
+    i64 *order = seq != NULL ? read_ids(args[2], "neighborhood id", 5, &m) : NULL;
     i64 *incumbent = NULL;
     int ok = order != NULL;
     if (ok && args[3] != Py_None) {
-        incumbent = read_ids(args[3], "job id", 1, last, &ni);
+        incumbent = read_ids(args[3], "job id", last, &ni);
         ok = incumbent != NULL;
         if (ok && ni != n) {
             PyErr_Format(PyExc_ValueError, "incumbent has %zd jobs, sequence %zd", ni, n);
@@ -883,7 +883,7 @@ static PyObject *py_weighted_search(PyObject *module, PyObject *const *args, Py_
     if (seq == NULL)
         return PyErr_NoMemory();
     PyObject *result = NULL;
-    if (steptardy_weighted_search(J, n, (const double *)PyBytes_AS_STRING(args[1]), m, seq, seq + n) == 0) {
+    if (steptardy_weighted_search(J, n, (const double *)PyBytes_AS_STRING(args[1]), seq, seq + n) == 0) {
         PyObject *best = list_of(seq, n), *trace = best != NULL ? list_of(seq + n, m) : NULL;
         if (trace != NULL)
             result = Py_BuildValue("(NN)", best, trace);
@@ -902,7 +902,7 @@ static PyObject *py_pairwise_swap_pass(PyObject *module, PyObject *const *args, 
     i64 last;
     Py_ssize_t n;
     const job_t *J = job_rows(args[0], &last);
-    i64 *seq = J != NULL ? read_ids(args[1], "job id", 1, last, &n) : NULL;
+    i64 *seq = J != NULL ? read_ids(args[1], "job id", last, &n) : NULL;
     if (seq == NULL)
         return NULL;
     steptardy_pairwise_swap_pass(J, n, seq);

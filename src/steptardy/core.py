@@ -78,12 +78,13 @@ class Instance:
         kernel's local search, SWSP and exact DP.
 
         None when a value is so large that a completion time or tardiness sum
-        could overflow int64: the bound is n * (sum |a| + sum |ab| + max |d|)
-        < 2**62, with |h| < 2**62.
+        could overflow int64: every value is non-negative, as the Instance
+        checks require, and the bound is n * (sum a + sum ab + max d) < 2**62,
+        with h < 2**62.
         """
         a, ab, d, h = self._columns
-        span = sum(map(abs, a)) + sum(map(abs, ab)) + max(map(abs, d))
-        if self.n * span >= 2**62 or max(map(abs, h)) >= 2**62:
+        span = sum(a) + sum(ab) + max(d)
+        if self.n * span >= 2**62 or max(h) >= 2**62:
             return None
         rows = array("q")
         for x in range(self.n + 1):

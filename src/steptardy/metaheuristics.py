@@ -108,7 +108,7 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
     cur_val = total_tardiness(instance, cur)
     best, best_val = list(cur), cur_val
     proven = 0  # the neighborhoods cur is known to be a local optimum of
-    iter1 = iter2 = iter3 = 0
+    iter2 = iter3 = 0
     perturbations = 0
     k = 1
     trace = []
@@ -125,7 +125,6 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
         else:
             iter2 += 1
             iter3 += 1
-        iter1 += 1
         trace.append(best_val)
         if iter3 > params.gamma and iter2 < params.iter_nip:
             if instance.n >= 4:
@@ -137,12 +136,12 @@ def gvns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult
             iter3 = 0
             perturbations += 1
         k = k % len(NEIGHBORHOOD_IDS) + 1
-        if iter1 > params.iter_max or iter2 > params.iter_nip:
+        if len(trace) > params.iter_max or iter2 > params.iter_nip:
             break
     return RunResult(
         best_sequence=tuple(best),
         best_value=best_val,
-        iterations=iter1,
+        iterations=len(trace),
         perturbations=perturbations,
         seed=params.seed,
         trace=tuple(trace),
@@ -161,7 +160,7 @@ def vns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
     cur = edd_sequence(instance)
     cur_val = total_tardiness(instance, cur)
     proven = 0
-    iter1 = iter2 = 0
+    iter2 = 0
     k = 1
     trace = []
     while True:
@@ -172,14 +171,13 @@ def vns(instance: Instance, params: SearchParams = SearchParams()) -> RunResult:
         else:
             k = k % len(NEIGHBORHOOD_IDS) + 1
             iter2 += 1
-        iter1 += 1
         trace.append(cur_val)
-        if iter1 > params.iter_max or iter2 > params.iter_nip:
+        if len(trace) > params.iter_max or iter2 > params.iter_nip:
             break
     return RunResult(
         best_sequence=tuple(cur),
         best_value=cur_val,
-        iterations=iter1,
+        iterations=len(trace),
         perturbations=0,
         seed=params.seed,
         trace=tuple(trace),

@@ -9,8 +9,14 @@ has proven must change none.  A kernel that silently failed to build
 would make every search some 70-100x slower (a default GVNS run at n=25
 and n=50 on one core), so its absence is a failure wherever a C compiler
 and Python's headers exist, and so is a compiler warning in it.
+
+Each rule is checked once for all four entry points: the Python code
+runs for an instance outside int64 and without a kernel, inputs are
+checked before the kernel runs, and one parity script runs on a kernel
+built with every sanitizer whose runtime the compiler has.
 """
 
+import json
 import os
 import random
 import re
@@ -18,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from functools import cache
 from itertools import permutations
 from pathlib import Path
 
@@ -321,6 +328,16 @@ class _NoKernel:
         raise AssertionError(f"the C kernel's {name} must not run here")
 
 
+def _takes_python_path(instance):
+    """Each of the four entry points returns its Python reference's result."""
+    seq = list(range(instance.n, 0, -1))
+    for k in NEIGHBORHOOD_IDS:
+        assert descend(instance, seq, k) == _descend_python(instance, seq, k)
+    assert branch_and_bound(instance) == _branch_and_bound_python(instance)
+    assert weighted_search(instance) == _weighted_search_python(instance)
+    assert pairwise_swap_pass(instance, seq) == _pairwise_swap_pass_python(instance, seq)
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -333,20 +350,17 @@ def test_out_of_kernel_range_takes_python_path(monkeypatch, rows):
     instance = make_instance(rows)
     assert instance._int64_rows is None
     monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
-    for k in NEIGHBORHOOD_IDS:
-        assert descend(instance, [4, 3, 2, 1], k) == _descend_python(instance, [4, 3, 2, 1], k)
-    assert branch_and_bound(instance) == _branch_and_bound_python(instance)
+    _takes_python_path(instance)
 
 
 def test_missing_kernel_takes_python_path(monkeypatch, demo8):
-    expected = [_descend_python(demo8, [8, 7, 6, 5, 4, 3, 2, 1], k) for k in NEIGHBORHOOD_IDS]
     monkeypatch.setattr(neighborhoods, "_kernel", None)
-    assert [descend(demo8, [8, 7, 6, 5, 4, 3, 2, 1], k) for k in NEIGHBORHOOD_IDS] == expected
-    assert branch_and_bound(demo8) == _branch_and_bound_python(demo8)
+    _takes_python_path(demo8)
 
 
 @needs_kernel
 def test_sequence_checked_before_the_kernel(monkeypatch, demo8):
+    # weighted_search takes only the instance, which was checked when built
     monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
     seq = [8, 7, 6, 5, 4, 3, 2, 1]
     for call in (
@@ -364,6 +378,10 @@ def test_sequence_checked_before_the_kernel(monkeypatch, demo8):
         lambda: vnd(demo8, seq, [True, 2]),
         lambda: vnd(demo8, seq, [1.0, 2.0]),
         lambda: shake(seq, 2.0, random.Random(0)),
+        lambda: pairwise_swap_pass(demo8, [1, 2, 3, 4, 5, 6, 7, 9]),
+        lambda: pairwise_swap_pass(demo8, [1, 2, 3, 4, 5, 6, 7, 7]),
+        # the DP's size cap
+        lambda: branch_and_bound(make_instance([(1, 0, 0, 0)] * 21)),
     ):
         with pytest.raises(ValueError):
             call()
@@ -451,10 +469,13 @@ def test_kernel_failures_raise_their_own_errors(tmp_path, error, mutation, call,
 
 
 # the parity cases of the four entry points, for a kernel built with
-# UBSan: int64 overflow, a shift past the width and an out-of-bounds index
-# abort the process instead of passing unseen; and with ASan, for accesses
-# past the end of an allocation
-UBSAN_PARITY = """
+# UBSan, where int64 overflow, a shift past the width and an out-of-bounds
+# index abort the process instead of passing unseen, and with ASan, where
+# an access past the end of an allocation does.  Each kernel function takes
+# one allocation for all its arrays, so an overrun from one array into the
+# next stays inside the block, unseen by ASan.
+SANITIZED_PARITY = """
+import json
 import random
 from steptardy import neighborhoods as m, generate_suite, NEIGHBORHOOD_IDS, total_tardiness
 from steptardy.exact import branch_and_bound, _branch_and_bound_python
@@ -491,9 +512,10 @@ for instance in instances:
     if n <= 14:
         assert branch_and_bound(instance) == _branch_and_bound_python(instance)
 # the greedy's last register case, a candidate at the word's top bit, and
-# its first case with state bytes
-for wide in generate_suite([65], 0)[:1] + generate_suite([66], 0)[:1]:
-    assert weighted_search(wide) == _weighted_search_python(wide)
+# its first case with state bytes, against references computed outside
+with open(REFERENCES) as f:
+    for n, reference in json.load(f).items():
+        assert list(weighted_search(generate_suite([int(n)], 0)[0])) == reference
 # an early entry makes the early-side term D * count about 2^61.6 here
 early = early_entry_instance()
 for k in NEIGHBORHOOD_IDS:
@@ -503,44 +525,45 @@ print("ok", len(instances))
 """
 
 
+@cache
+def _wide_reference(n):
+    """The Python weighted search on the first instance of
+    ``generate_suite([n], 0)``, computed once per session for the sanitized
+    parity script and the word-boundary test."""
+    return _weighted_search_python(generate_suite([n], 0)[0])
+
+
 def _sanitizer_runtime(name):
-    """The path of the compiler's runtime library ``name``; the test is
-    skipped where the compiler finds none, for which it prints a bare name."""
+    """The path of the compiler's runtime library ``name``, or None where the
+    compiler finds none, for which it prints a bare name."""
     found = subprocess.run(COMPILER + [f"-print-file-name={name}"], capture_output=True, text=True)
-    if found.returncode != 0 or not os.path.isabs(found.stdout.strip()):
-        pytest.skip(f"{COMPILER[0]} finds no {name}")
-    return found.stdout.strip()
+    path = found.stdout.strip()
+    return path if found.returncode == 0 and os.path.isabs(path) else None
 
 
-def _sanitized_parity(tmp_path, flags, env=None):
-    """UBSAN_PARITY run, with ``env`` added, on a kernel built with ``flags``."""
-    library = _compile_kernel(KERNEL_SOURCE, tmp_path / "_kernel.so", *flags)
+@needs_compiler
+def test_kernel_parity_under_sanitizers(tmp_path):
+    asan, ubsan = _sanitizer_runtime("libasan.so"), _sanitizer_runtime("libubsan.so")
+    if asan is None and ubsan is None:
+        pytest.skip(f"{COMPILER[0]} finds neither libasan.so nor libubsan.so")
+    sanitizers = ",".join(name for name, runtime in (("address", asan), ("undefined", ubsan)) if runtime)
+    library = _compile_kernel(
+        KERNEL_SOURCE, tmp_path / "_kernel.so", f"-fsanitize={sanitizers}", "-fno-sanitize-recover=all"
+    )
+    # the ASan runtime must load before the interpreter's allocator is used,
+    # and PYTHONMALLOC=malloc sends PyMem_Malloc's blocks to its malloc, so
+    # that a read or write past a kernel allocation aborts the process
+    env = {"LD_PRELOAD": asan, "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"} if asan else {}
+    references = tmp_path / "references.json"
+    references.write_text(json.dumps({n: _wide_reference(n) for n in (65, 66)}))
     # conftest is importable from the fresh interpreter's working directory
     out = _run_python(
         Path(__file__).parent,
-        f"LIBRARY = {str(library)!r}\n" + UBSAN_PARITY,
+        f"LIBRARY = {str(library)!r}\nREFERENCES = {str(references)!r}\n" + SANITIZED_PARITY,
         Path(neighborhoods.__file__).parents[1],
         env=env,
     )
     assert out.startswith("ok"), out
-
-
-@needs_compiler
-def test_kernel_parity_under_ubsan(tmp_path):
-    _sanitizer_runtime("libubsan.so")
-    _sanitized_parity(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=all"])
-
-
-@needs_compiler
-def test_kernel_parity_under_asan(tmp_path):
-    # the ASan runtime must load before the interpreter's allocator is used,
-    # and PYTHONMALLOC=malloc sends PyMem_Malloc's blocks to its malloc, so
-    # that a read or write past a kernel allocation aborts the process.
-    # Each function takes one allocation for all its arrays, so an overrun
-    # from one array into the next stays inside the block, unseen by ASan.
-    runtime = _sanitizer_runtime("libasan.so")
-    env = {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
-    _sanitized_parity(tmp_path, ["-fsanitize=address"], env)
 
 
 @needs_kernel
@@ -679,8 +702,7 @@ def test_swsp_parity_with_ties(case):
 def test_weighted_search_parity_at_the_bitset_word_boundary(n):
     # the kernel's greedy keeps its n - 1 candidate jobs as bitsets in
     # 64-bit registers up to n = 65 and as state bytes from n = 66
-    instance = generate_suite([n], 0)[0]
-    assert weighted_search(instance) == _weighted_search_python(instance)
+    assert weighted_search(generate_suite([n], 0)[0]) == _wide_reference(n)
 
 
 @needs_kernel
@@ -689,39 +711,6 @@ def test_swsp_parity_near_the_int64_bound():
     assert instance._int64_rows is not None
     python, kernel = _swsp_both(instance, [6, 5, 4, 3, 2, 1])
     assert kernel == python
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [(2**61, 1, 3, 2), (1, 0, 1, 0), (2, 3, 2, 1), (3, 1, 4, 0)],
-    ],
-    ids=["past-overflow-bound"],
-)
-def test_swsp_out_of_kernel_range_takes_python_path(monkeypatch, rows):
-    instance = make_instance(rows)
-    assert instance._int64_rows is None
-    monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
-    assert weighted_search(instance) == _weighted_search_python(instance)
-    assert pairwise_swap_pass(instance, [4, 3, 2, 1]) == _pairwise_swap_pass_python(
-        instance, [4, 3, 2, 1]
-    )
-
-
-def test_swsp_missing_kernel_takes_python_path(monkeypatch, demo8):
-    expected = (
-        _weighted_search_python(demo8),
-        _pairwise_swap_pass_python(demo8, [8, 7, 6, 5, 4, 3, 2, 1]),
-    )
-    monkeypatch.setattr(neighborhoods, "_kernel", None)
-    assert (weighted_search(demo8), pairwise_swap_pass(demo8, [8, 7, 6, 5, 4, 3, 2, 1])) == expected
-
-
-@needs_kernel
-def test_swsp_inputs_checked_before_the_kernel(monkeypatch, demo8):
-    monkeypatch.setattr(neighborhoods, "_kernel", _NoKernel())
-    with pytest.raises(ValueError):
-        pairwise_swap_pass(demo8, [1, 2, 3, 4, 5, 6, 7, 9])
 
 
 def _copy_package(tmp_path):
